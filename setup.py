@@ -1,11 +1,26 @@
-"""Legacy setup shim.
+"""Package metadata and install entry point for tegkit.
 
-The canonical metadata lives in ``pyproject.toml``; this file exists so
-``pip install -e .`` / ``python setup.py develop`` keep working on
-offline machines whose environments lack the ``wheel`` package needed
-for PEP 660 editable builds.
+There is deliberately no ``pyproject.toml``: a build-system table would
+make ``pip install -e .`` build in an isolated environment that
+downloads setuptools, which fails on offline machines.  The version is
+read from ``src/repro/_about.py`` as text, so building never imports
+the package.
 """
 
-from setuptools import setup
+import re
+from pathlib import Path
 
-setup()
+from setuptools import find_packages, setup
+
+_ABOUT = Path(__file__).resolve().parent / "src" / "repro" / "_about.py"
+_VERSION = re.search(
+    r'^__version__ = "([^"]+)"$', _ABOUT.read_text(), re.MULTILINE
+).group(1)
+
+setup(
+    name="tegkit",
+    version=_VERSION,
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    install_requires=["numpy"],
+)

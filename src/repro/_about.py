@@ -1,7 +1,7 @@
 """Package metadata for :mod:`repro` (tegkit).
 
-Kept in a dedicated module so that both ``pyproject.toml`` consumers and
-runtime code can report a consistent version without importing heavy
+Kept in a dedicated module so that ``setup.py`` (which reads it as text)
+and runtime code report one consistent version without importing heavy
 submodules.
 """
 

@@ -164,7 +164,8 @@ def _partition_probe(backend) -> Optional[str]:
     the NumPy reference over a fixture covering the map's edge shapes:
     a generic positive row, a row with an interior zero-current flat
     run, and a fully flat row (all prefix values tied), each with
-    several group-count lanes.  ``None`` on success.
+    several group-count lanes, listed in an unsorted lane order.
+    ``None`` on success.
     """
     rng = np.random.default_rng(20180808)
     n_modules = 37
@@ -174,8 +175,8 @@ def _partition_probe(backend) -> Optional[str]:
     rows[1, 5:14] = 0.0
     rows[2] = 0.0
     flat_rows = rows.min(axis=1) == 0.0
-    counts = np.array([1, 2, 3, 5, 8, 13, 2, 4, 6, 1, 7], dtype=np.int64)
-    row_of = np.array([0, 0, 0, 0, 0, 0, 1, 1, 1, 2, 2], dtype=np.int64)
+    counts = np.array([5, 4, 1, 13, 7, 2, 3, 6, 8, 1, 2], dtype=np.int64)
+    row_of = np.array([0, 1, 2, 0, 2, 1, 0, 1, 0, 0, 0], dtype=np.int64)
     n_lift = int(counts.max())
     prefix_want = prefix_table_np(rows)
     ideals = rows.sum(axis=1)[row_of] / counts

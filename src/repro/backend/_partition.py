@@ -11,9 +11,10 @@ from the original inline pipeline, so routing the build through the
 backend seam changes *where* the arithmetic executes, never which
 doubles it produces.
 
-Only the prefix table and the tie-rule comparison touch floating point;
-the next-cut binary search and the lifting gathers are integer-exact,
-which is what lets the jitted twins in
+Only the prefix table and the tie-rule comparison touch floating point.
+The next-cut search (one native ``ndarray.searchsorted`` per distinct
+table row, all of that row's lanes at once) and the lifting gathers are
+integer-exact, which is what lets the jitted twins in
 :mod:`repro.backend.numba_backend` match bitwise with scalar loops.
 """
 
@@ -55,26 +56,26 @@ def searchsorted_rows_right(
 
     ``table_rows`` is ``(C, M)``, every row sorted ascending;
     ``targets`` is ``(K, T)`` and ``row_of[k]`` names the table row the
-    ``k``-th target row searches.  A vectorised binary search over all
-    targets at once — integer-exact, so results equal
-    ``np.searchsorted(table_rows[row_of[k]], targets[k], "right")`` per
-    row, with no Python loop over rows.
+    ``k``-th target row searches.  Lanes are grouped by table row (a
+    stable argsort, so any ``row_of`` order works) and each distinct
+    row runs one native ``ndarray.searchsorted`` over all of its
+    lanes' targets at once — the result is exactly
+    ``np.searchsorted(table_rows[row_of[k]], targets[k], "right")``
+    per lane, with a Python loop over distinct rows only.
     """
-    n_cols = table_rows.shape[1]
-    flat = table_rows.reshape(-1)
-    base = (row_of * n_cols)[:, None]
-    lo = np.zeros(targets.shape, dtype=np.int64)
-    hi = np.full(targets.shape, n_cols, dtype=np.int64)
-    open_mask = lo < hi
-    while open_mask.any():
-        # Closed lanes keep lo == hi (possibly n_cols); park their
-        # gather at 0 so the flat read stays in bounds.
-        mid = np.where(open_mask, (lo + hi) >> 1, 0)
-        advance = open_mask & (flat[base + mid] <= targets)
-        lo = np.where(advance, mid + 1, lo)
-        hi = np.where(open_mask & ~advance, mid, hi)
-        open_mask = lo < hi
-    return lo
+    order = np.argsort(row_of, kind="stable")
+    sorted_rows = row_of[order]
+    grouped = targets[order]
+    found = np.empty(targets.shape, dtype=np.int64)
+    # One slice of grouped lanes per distinct table row.
+    starts = np.flatnonzero(np.diff(sorted_rows, prepend=-1)).tolist()
+    for lo, hi in zip(starts, starts[1:] + [row_of.size]):
+        found[lo:hi] = table_rows[sorted_rows[lo]].searchsorted(
+            grouped[lo:hi], side="right"
+        )
+    out = np.empty_like(found)
+    out[order] = found
+    return out
 
 
 def prefix_table_np(rows: np.ndarray) -> np.ndarray:

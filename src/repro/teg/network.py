@@ -586,8 +586,8 @@ def partition_multi_stack(
     currents and ``n_min`` / ``n_max`` per-case group-count windows
     (scalars broadcast), and the prefix-bracket cut map, flat-run
     extension, binary lifting and tail clamp all run across every
-    candidate of every case at once — one row-wise binary search
-    replaces the per-case ``searchsorted``.  Cut indices are
+    candidate of every case at once — each case row runs one native
+    ``searchsorted`` for all of its candidates together.  Cut indices are
     **bit-identical** per case to ``partition_multi(rows[c],
     n_min[c], n_max[c])`` (pinned in the parity suite): the stacked map
     evaluates the same expression tree on the same doubles, merely

@@ -9,6 +9,13 @@ from repro.teg.array import TEGArray
 from repro.teg.datasheet import TGM_199_1_4_0_8
 
 
+def pytest_configure(config) -> None:
+    """Register the suite's custom markers."""
+    config.addinivalue_line(
+        "markers", "slow: long-running example or end-to-end test"
+    )
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     """Deterministic random generator for tests."""

@@ -29,6 +29,7 @@ from repro.backend import (
     prefix_table,
     segmented_pairwise_sum,
 )
+from repro.backend._partition import searchsorted_rows_right
 from repro.errors import ConfigurationError
 
 
@@ -172,6 +173,83 @@ class TestBackendRegistry:
 
     def test_backend_names_cover_factories(self):
         assert set(BACKEND_NAMES) == {"numpy", "numba", "cupy"}
+
+
+def _searchsorted_per_lane(table_rows, row_of, targets):
+    """One ``np.searchsorted(..., side="right")`` per lane — the oracle."""
+    return np.array(
+        [
+            np.searchsorted(table_rows[row], targets[lane], side="right")
+            for lane, row in enumerate(row_of)
+        ],
+        dtype=np.int64,
+    ).reshape(targets.shape)
+
+
+class TestSearchsortedRowsRight:
+    """The row-grouped native search equals a per-lane searchsorted."""
+
+    @staticmethod
+    def _check(table_rows, row_of, targets):
+        row_of = np.asarray(row_of, dtype=np.int64)
+        got = searchsorted_rows_right(table_rows, row_of, targets)
+        want = _searchsorted_per_lane(table_rows, row_of, targets)
+        assert got.dtype == np.int64
+        assert got.shape == targets.shape
+        np.testing.assert_array_equal(got, want)
+        return got
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_unsorted_repeated_row_of(self, seed):
+        rng = np.random.default_rng(seed)
+        table_rows = np.sort(rng.normal(size=(6, 17)), axis=1)
+        row_of = rng.integers(0, 6, size=23)
+        assert np.any(np.diff(row_of) < 0)
+        targets = rng.normal(scale=1.5, size=(23, 9))
+        self._check(table_rows, row_of, targets)
+
+    def test_ties_resolve_right(self):
+        table_rows = np.array(
+            [[0.0, 1.0, 1.0, 1.0, 2.5, 4.0], [0.0, 0.5, 0.5, 3.0, 3.0, 3.0]]
+        )
+        row_of = [1, 0, 1, 0]
+        # Every target equals some table entry, including repeated ones.
+        targets = table_rows[row_of][:, ::-1].copy()
+        got = self._check(table_rows, row_of, targets)
+        assert got[1].tolist() == [6, 5, 4, 4, 4, 1]
+
+    def test_targets_outside_the_table(self):
+        table_rows = np.array([[1.0, 2.0, 3.0], [-5.0, 0.0, 5.0]])
+        targets = np.array(
+            [
+                [-np.inf, 0.5, 3.0, 3.5, np.inf],
+                [-6.0, -5.0, 5.0, 1e300, np.inf],
+                [0.0, 1.0, 2.0, 4.0, np.inf],
+            ]
+        )
+        got = self._check(table_rows, [0, 1, 0], targets)
+        assert got[:, 0].tolist() == [0, 0, 0]
+        assert got[:, -1].tolist() == [3, 3, 3]
+
+    def test_flat_rows(self):
+        table_rows = np.vstack((np.zeros(8), np.full(8, 2.0)))
+        targets = np.array([[-1.0, 0.0, 1.0], [1.0, 2.0, 3.0], [0.0] * 3])
+        got = self._check(table_rows, [0, 1, 0], targets)
+        assert got.tolist() == [[0, 8, 8], [0, 8, 8], [8, 8, 8]]
+
+    def test_single_lane_and_single_row(self):
+        rng = np.random.default_rng(7)
+        table_rows = np.cumsum(np.abs(rng.normal(size=(1, 12))), axis=1)
+        targets = rng.uniform(-1.0, table_rows[0, -1] + 1.0, size=(1, 30))
+        self._check(table_rows, [0], targets)
+        many = rng.uniform(-1.0, table_rows[0, -1] + 1.0, size=(5, 4))
+        self._check(table_rows, [0] * 5, many)
+
+    def test_no_lanes(self):
+        got = searchsorted_rows_right(
+            np.zeros((2, 3)), np.zeros(0, dtype=np.int64), np.zeros((0, 4))
+        )
+        assert got.shape == (0, 4)
 
 
 @pytest.mark.parametrize("name", ["numba", "cupy"])
