@@ -30,6 +30,33 @@ from repro.power.charger import TEGCharger
 from repro.teg.model import ModuleModel
 
 
+class EpochClock:
+    """The one decision-epoch gate of every periodic scheme.
+
+    A sample opens an epoch unless it falls more than a nanosecond short
+    of the due time; opening one re-arms the clock one period after
+    *that sample*.  The policies and the grid-stacked decision schedule
+    all gate through it, so every decision loop fires on the same samples.
+    """
+
+    __slots__ = ("_period_s", "_next_s")
+
+    def __init__(self, period_s: float) -> None:
+        self._period_s = float(period_s)
+        self._next_s = 0.0
+
+    def due(self, time_s: float) -> bool:
+        """Whether ``time_s`` opens an epoch (advancing the clock if so)."""
+        if time_s + 1.0e-9 < self._next_s:
+            return False
+        self._next_s = time_s + self._period_s
+        return True
+
+    def reset(self) -> None:
+        """Make the next sample open an epoch again."""
+        self._next_s = 0.0
+
+
 class ReconfigurationPolicy(abc.ABC):
     """Interface between the simulator and a reconfiguration scheme."""
 
@@ -130,7 +157,7 @@ class PeriodicPolicy(ReconfigurationPolicy):
         self._period_s = float(period_s)
         self._charger = charger
         self._kernel = kernel
-        self._next_run_s = 0.0
+        self._clock = EpochClock(period_s)
 
     @property
     def name(self) -> str:
@@ -142,14 +169,28 @@ class PeriodicPolicy(ReconfigurationPolicy):
         """Reconfiguration period."""
         return self._period_s
 
+    def observe(
+        self, time_s: float, module_temps_c: np.ndarray, ambient_c: float
+    ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        """Gate one sensed sample; return its ``(emf, resistance)``
+        Thevenin map when a period is due, else ``None``.
+
+        The sensing half of :meth:`decide` (like
+        :meth:`DNORPolicy.observe`): the streaming hub collects due rows
+        from many sessions and decides them in one stacked pass.
+        """
+        if not self._clock.due(time_s):
+            return None
+        return thevenin_from_temps(self._module, module_temps_c, ambient_c)
+
     def decide(
         self, time_s: float, module_temps_c: np.ndarray, ambient_c: float
     ) -> Optional[ArrayConfiguration]:
         """Recompute the configuration whenever the period elapses."""
-        if time_s + 1.0e-9 < self._next_run_s:
+        due = self.observe(time_s, module_temps_c, ambient_c)
+        if due is None:
             return None
-        self._next_run_s = time_s + self._period_s
-        emf, res = thevenin_from_temps(self._module, module_temps_c, ambient_c)
+        emf, res = due
         if self._algorithm == "inor":
             return inor(
                 emf, res, charger=self._charger, kernel=self._kernel
@@ -158,7 +199,7 @@ class PeriodicPolicy(ReconfigurationPolicy):
 
     def reset(self) -> None:
         """Restart the period clock."""
-        self._next_run_s = 0.0
+        self._clock.reset()
 
 
 class DNORPolicy(ReconfigurationPolicy):
@@ -183,7 +224,7 @@ class DNORPolicy(ReconfigurationPolicy):
         self._planner = planner
         self._history: Deque[np.ndarray] = deque(maxlen=int(history_rows))
         self._current: Optional[ArrayConfiguration] = None
-        self._next_epoch_s = 0.0
+        self._clock = EpochClock(planner.epoch_seconds)
         self._timed_decisions: list = []
         self._rows_since_plan = 0
 
@@ -232,9 +273,8 @@ class DNORPolicy(ReconfigurationPolicy):
         """
         self._history.append(np.asarray(module_temps_c, dtype=float))
         self._rows_since_plan += 1
-        if time_s + 1.0e-9 < self._next_epoch_s:
+        if not self._clock.due(time_s):
             return None
-        self._next_epoch_s = time_s + self._planner.epoch_seconds
         history = np.vstack(self._history)
         new_rows = self._rows_since_plan
         self._rows_since_plan = 0
@@ -273,7 +313,7 @@ class DNORPolicy(ReconfigurationPolicy):
         """Clear history, epoch state and the predictor stream."""
         self._history.clear()
         self._current = None
-        self._next_epoch_s = 0.0
+        self._clock.reset()
         self._timed_decisions = []
         self._rows_since_plan = 0
         self._planner.reset_stream()

@@ -23,8 +23,9 @@ epoch r's committed configuration and predictor-stream refit;
 online log byte-equal to the inline one.
 
 Sessions stack only when their decision inputs are interchangeable —
-same module electrical identity, array size, converter curve and
-kernel backend (plus, for DNOR, the same horizon geometry).
+equal :meth:`~repro.sim.scenario.Scenario.stacking_key`: same module
+electrical identity, array size, converter curve and kernel backend
+(plus, for DNOR, the same horizon geometry).
 Incompatible sessions still work; they just land in separate groups
 (each its own stacked pass).  Inline-policy sessions (EHTR, Baseline,
 scalar-kernel INOR, measured-compute DNOR) never queue pending work
@@ -33,8 +34,8 @@ and pass through the hub untouched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Tuple
 
 import numpy as np
 
@@ -65,33 +66,6 @@ class HubStats:
             "max_rows_per_pass": self.max_rows_per_pass,
             "max_sessions_per_pass": self.max_sessions_per_pass,
         }
-
-
-def _stack_key(session: StreamSession) -> Tuple:
-    """Hashable stacking identity: one key, one ``inor_stack`` stream."""
-    scenario = session.scenario
-    _, backend = parse_inor_kernel(scenario.inor_kernel)
-    return (
-        int(scenario.n_modules),
-        scenario.module,
-        scenario.make_charger(with_battery=False).converter,
-        backend,
-    )
-
-
-def _dnor_stack_key(session: StreamSession) -> Tuple:
-    """Stacking identity for DNOR epoch rounds: the ``dnor_stack``
-    homogeneity contract — shared module electricals, converter, kernel
-    spec and horizon geometry."""
-    scenario = session.scenario
-    return (
-        int(scenario.n_modules),
-        scenario.module,
-        scenario.make_charger(with_battery=False).converter,
-        scenario.inor_kernel,
-        float(scenario.tp_seconds),
-        float(scenario.trace.dt_s),
-    )
 
 
 class SessionHub:
@@ -138,58 +112,85 @@ class SessionHub:
     def run_epoch(self) -> Dict[str, List[DecisionRecord]]:
         """Resolve every pending row and epoch across all sessions.
 
-        Groups sessions by stacking identity, runs one ``inor_stack``
-        pass per INOR group over the concatenated pending EMF rows, and
-        dispatches each row's winning configuration back to its session
-        in queue order.  Pending DNOR epochs resolve in *rounds* per
-        group — see :meth:`_run_dnor_rounds`.  Returns the newly
-        emitted records keyed by session id (sessions with nothing
-        pending, or whose epochs all kept the current configuration,
-        are omitted).
+        Groups sessions by :meth:`~repro.sim.scenario.Scenario.
+        stacking_key`, runs one ``inor_stack`` pass per INOR group over
+        the concatenated pending EMF rows (:meth:`_run_inor_pass`), and
+        resolves pending DNOR epochs in *rounds* per group
+        (:meth:`_run_dnor_rounds`).  Returns the newly emitted records
+        keyed by session id (sessions with nothing pending, or whose
+        epochs all kept the current configuration, are omitted).
         """
-        groups: Dict[Tuple, List[StreamSession]] = {}
-        dnor_groups: Dict[Tuple, List[StreamSession]] = {}
-        for session in self._sessions.values():
-            if session.pending:
-                groups.setdefault(_stack_key(session), []).append(session)
-            elif session.pending_epochs:
-                dnor_groups.setdefault(
-                    _dnor_stack_key(session), []
-                ).append(session)
         self._stats.epochs += 1
+        return self._resolve(self._sessions.values())
+
+    def drain(self, session_id: str) -> List[DecisionRecord]:
+        """Resolve one session's pendings (used when a session closes).
+
+        The same grouped pass as :meth:`run_epoch`, over this session
+        alone, so the decision arithmetic and the pass counters are
+        those of a full epoch.
+        """
+        session = self.get(session_id)
+        return self._resolve([session]).get(session.session_id, [])
+
+    def _resolve(
+        self, sessions: Iterable[StreamSession]
+    ) -> Dict[str, List[DecisionRecord]]:
+        """One grouped stacked pass over ``sessions``' pending work."""
+        groups: Dict[Tuple, List[StreamSession]] = {}
+        for session in sessions:
+            if session.pending or session.pending_epochs:
+                key = session.scenario.stacking_key(session.policy_name)
+                groups.setdefault(key, []).append(session)
         emitted: Dict[str, List[DecisionRecord]] = {}
-        for members in dnor_groups.values():
-            for sid, new_records in self._run_dnor_rounds(members).items():
+        for members in groups.values():
+            if members[0].pending_epochs:
+                resolved = self._run_dnor_rounds(members)
+            else:
+                resolved = self._run_inor_pass(members)
+            for sid, new_records in resolved.items():
                 emitted.setdefault(sid, []).extend(new_records)
-        for key, members in groups.items():
-            n_modules, module, _converter, backend = key
-            counts = [len(s.pending) for s in members]
-            emf_rows = np.vstack(
-                [p.emf_row for s in members for p in s.pending]
+        return emitted
+
+    def _count_pass(self, rows: int, sessions: int) -> None:
+        self._stats.stacked_passes += 1
+        self._stats.rows_decided += rows
+        self._stats.max_rows_per_pass = max(
+            self._stats.max_rows_per_pass, rows
+        )
+        self._stats.max_sessions_per_pass = max(
+            self._stats.max_sessions_per_pass, sessions
+        )
+
+    def _run_inor_pass(
+        self, members: List[StreamSession]
+    ) -> Dict[str, List[DecisionRecord]]:
+        """Decide every pending INOR row of the members in one
+        ``inor_stack`` pass; dispatch winners back in queue order."""
+        scenario = members[0].scenario
+        counts = [len(s.pending) for s in members]
+        emf_rows = np.vstack([p.emf_row for s in members for p in s.pending])
+        # Same Thevenin arithmetic as PeriodicPolicy's scalar path:
+        # the module model's nominal chain resistance.
+        resistance = np.full(
+            int(scenario.n_modules), scenario.module.internal_resistance()
+        )
+        _, backend = parse_inor_kernel(scenario.inor_kernel)
+        results = inor_stack(
+            emf_rows,
+            resistance,
+            charger=scenario.make_charger(with_battery=False),
+            backend=backend,
+        )
+        self._count_pass(emf_rows.shape[0], len(members))
+        emitted: Dict[str, List[DecisionRecord]] = {}
+        offset = 0
+        for session, count in zip(members, counts):
+            winners = results[offset : offset + count]
+            offset += count
+            emitted[session.session_id] = session.resolve_pending(
+                [result.config.starts for result in winners]
             )
-            # Same Thevenin arithmetic as PeriodicPolicy's scalar path:
-            # the module model's nominal chain resistance.
-            resistance = np.full(int(n_modules), module.internal_resistance())
-            charger = members[0].scenario.make_charger(with_battery=False)
-            results = inor_stack(
-                emf_rows, resistance, charger=charger, backend=backend
-            )
-            self._stats.stacked_passes += 1
-            self._stats.rows_decided += emf_rows.shape[0]
-            self._stats.max_rows_per_pass = max(
-                self._stats.max_rows_per_pass, emf_rows.shape[0]
-            )
-            self._stats.max_sessions_per_pass = max(
-                self._stats.max_sessions_per_pass, len(members)
-            )
-            offset = 0
-            for session, count in zip(members, counts):
-                starts = [
-                    tuple(int(v) for v in results[offset + j].config.starts)
-                    for j in range(count)
-                ]
-                offset += count
-                emitted[session.session_id] = session.resolve_pending(starts)
         return emitted
 
     def _run_dnor_rounds(
@@ -220,42 +221,8 @@ class SessionHub:
                 time_s=heads[0].time_s,
                 new_rows=[p.new_rows for p in heads],
             )
-            self._stats.stacked_passes += 1
-            self._stats.rows_decided += len(live)
-            self._stats.max_rows_per_pass = max(
-                self._stats.max_rows_per_pass, len(live)
-            )
-            self._stats.max_sessions_per_pass = max(
-                self._stats.max_sessions_per_pass, len(live)
-            )
+            self._count_pass(len(live), len(live))
             for session, decision in zip(live, decisions):
                 record = session.resolve_next_epoch(decision)
                 if record is not None:
                     emitted.setdefault(session.session_id, []).append(record)
-
-    def drain(self, session_id: str) -> List[DecisionRecord]:
-        """Resolve one session's pendings (used when a session closes).
-
-        Still goes through the stacked kernel (a single-session pass) so
-        the decision arithmetic is identical to a full epoch.
-        """
-        session = self.get(session_id)
-        if session.pending_epochs:
-            rounds = self._run_dnor_rounds([session])
-            return rounds.get(session.session_id, [])
-        if not session.pending:
-            return []
-        key = _stack_key(session)
-        n_modules, module, _converter, backend = key
-        emf_rows = np.vstack([p.emf_row for p in session.pending])
-        resistance = np.full(int(n_modules), module.internal_resistance())
-        charger = session.scenario.make_charger(with_battery=False)
-        results = inor_stack(
-            emf_rows, resistance, charger=charger, backend=backend
-        )
-        self._stats.stacked_passes += 1
-        self._stats.rows_decided += emf_rows.shape[0]
-        starts = [
-            tuple(int(v) for v in r.config.starts) for r in results
-        ]
-        return session.resolve_pending(starts)

@@ -10,15 +10,16 @@ be decided online exactly as the offline batch engine would decide it:
   calls on one persisted generator draw exactly the doubles a single
   whole-trace batch draw would (C-order fill of the bit stream, pinned
   in the stream parity suite),
-* either an inline policy object (EHTR / Baseline / scalar-kernel
-  INOR — stateful, driven sample by sample) or a queue of *pending*
+* the session's real policy object, either driven inline sample by
+  sample (EHTR, Baseline, scalar-kernel INOR, measured-compute DNOR)
+  or — when :meth:`~repro.sim.scenario.Scenario.unstackable_reason`
+  clears it — gated through its ``observe`` half, queueing *pending*
   decision work that the :class:`~repro.serve.hub.SessionHub` resolves
-  in stacked kernel passes across every concurrent session: for
-  batched-kernel INOR, the replica of
-  :class:`~repro.core.controller.PeriodicPolicy`'s period gating plus
-  pending EMF rows; for batched-kernel DNOR under nominal compute
-  accounting, the :meth:`~repro.core.controller.DNORPolicy.observe` /
-  :meth:`~repro.core.controller.DNORPolicy.commit` split plus pending
+  in stacked kernel passes across every concurrent session: INOR's
+  :meth:`~repro.core.controller.PeriodicPolicy.observe` queues the due
+  Thevenin EMF rows, and DNOR's
+  :meth:`~repro.core.controller.DNORPolicy.observe` /
+  :meth:`~repro.core.controller.DNORPolicy.commit` split queues due
   *epochs* that the hub plans through
   :func:`~repro.core.dnor.dnor_stack`.
 
@@ -32,11 +33,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.inor import parse_inor_kernel
 from repro.errors import ConfigurationError, SimulationError
 from repro.sim.physics import TracePhysics, TracePhysicsStream
 from repro.sim.scenario import Scenario
@@ -69,6 +69,12 @@ class DecisionRecord:
     time_s: float
     starts: Tuple[int, ...]
     n_groups: int
+
+    @classmethod
+    def applied(cls, index: int, time_s: float, starts) -> "DecisionRecord":
+        """The record of group starts ``starts`` applied at ``index``."""
+        starts = tuple(int(s) for s in starts)
+        return cls(index=index, time_s=time_s, starts=starts, n_groups=len(starts))
 
     def to_json_line(self) -> str:
         """Canonical one-line JSON form (byte-stable for diffing).
@@ -146,9 +152,10 @@ class StreamSession:
         scanner seed, control knobs).  Only the boundary-condition
         columns arrive at runtime, via :meth:`feed`.
     policy:
-        Scheme name — ``"INOR"`` (micro-batched through the hub when
-        the scenario's kernel is batched), ``"DNOR"``, ``"EHTR"`` or
-        ``"Baseline"`` (driven inline).
+        Scheme name — ``"INOR"`` or ``"DNOR"`` (micro-batched through
+        the hub when :meth:`Scenario.unstackable_reason` allows it,
+        inline otherwise), ``"EHTR"`` or ``"Baseline"`` (driven
+        inline).
     session_id:
         Stable identifier used in logs and server events.
     dnor_refit:
@@ -171,29 +178,11 @@ class StreamSession:
         )
         self._scanner = scenario.make_scanner()
         self._scanner.reset()
-        kernel_mode, self._backend = parse_inor_kernel(scenario.inor_kernel)
-        self._micro_batched = policy == "INOR" and kernel_mode == "batched"
-        # DNOR micro-batching needs the stacked epoch kernel's fused
-        # contract: the batched kernel and deterministic (nominal)
-        # compute accounting.  Measured-compute sessions stay inline.
-        self._dnor_batched = (
-            policy == "DNOR"
-            and kernel_mode == "batched"
-            and scenario.nominal_compute_s is not None
-        )
-        if self._micro_batched:
-            self._policy = None
-            self._charger = scenario.make_charger(with_battery=False)
-            module = scenario.module
-            self._emf_coef = module.emf_coefficient()
-            self._resistance = np.full(
-                int(scenario.n_modules), module.internal_resistance()
-            )
-            self._next_run_s = 0.0
-        else:
-            self._policy = _make_policy(scenario, policy, dnor_refit)
-            self._policy.reset()
+        self._policy = _make_policy(scenario, policy, dnor_refit)
+        self._policy.reset()
+        self._micro_batched = scenario.unstackable_reason(policy) is None
         self._sample_index = 0
+        self._last_time_s = -np.inf
         self._records: List[DecisionRecord] = []
         self._pending: List[PendingDecision] = []
         self._pending_epochs: List[PendingEpoch] = []
@@ -212,7 +201,7 @@ class StreamSession:
     @property
     def micro_batched(self) -> bool:
         """Whether decisions go through the hub's stacked kernel pass."""
-        return self._micro_batched or self._dnor_batched
+        return self._micro_batched
 
     @property
     def n_samples_seen(self) -> int:
@@ -259,6 +248,11 @@ class StreamSession:
     ) -> List[DecisionRecord]:
         """Consume one telemetry chunk (matching 1-D columns).
 
+        A chunk with a non-finite value, mismatched column lengths or a
+        ``time_s`` that is not strictly increasing (within the chunk
+        and after the last fed sample) raises
+        :class:`~repro.errors.SimulationError` and changes nothing.
+
         Inline-policy sessions return the decisions fired inside the
         chunk immediately; micro-batched sessions queue pending work —
         INOR decision rows (:attr:`pending`) or DNOR epochs
@@ -266,73 +260,79 @@ class StreamSession:
         arrive when the hub runs its next stacked epoch.
         """
         times = np.asarray(time_s, dtype=float)
-        ambient = np.asarray(ambient_c, dtype=float)
         if times.ndim != 1 or times.size < 1:
             raise SimulationError(
                 f"chunk time_s must be non-empty 1-D, got {times.shape}"
             )
-        state = self._stream.extend(
-            coolant_inlet_c,
-            coolant_flow_kg_s,
-            ambient,
-            air_flow_kg_s,
-            coolant_inlet_sensed_c,
-            coolant_flow_sensed_kg_s,
-        )
-        if state.n_samples != times.size:
+        given = {
+            "coolant_inlet_c": coolant_inlet_c,
+            "coolant_flow_kg_s": coolant_flow_kg_s,
+            "ambient_c": ambient_c,
+            "air_flow_kg_s": air_flow_kg_s,
+            "coolant_inlet_sensed_c": coolant_inlet_sensed_c,
+            "coolant_flow_sensed_kg_s": coolant_flow_sensed_kg_s,
+        }
+        columns = {
+            name: np.asarray(column, dtype=float)
+            for name, column in given.items()
+            if column is not None
+        }
+        # Validate the whole chunk before any of it touches the stream,
+        # the scanner or the policy, so a rejected chunk leaves the
+        # session exactly as it was.
+        for name, column in [("time_s", times), *columns.items()]:
+            if column.shape != times.shape:
+                raise SimulationError(
+                    f"chunk column {name} of shape {column.shape} does not "
+                    f"match time_s of {times.size} samples"
+                )
+            if not np.all(np.isfinite(column)):
+                raise SimulationError(
+                    f"chunk column {name} holds non-finite values"
+                )
+        if times[0] <= self._last_time_s or np.any(np.diff(times) <= 0.0):
             raise SimulationError(
-                f"chunk columns of {state.n_samples} samples do not match "
-                f"time_s of {times.size}"
+                "chunk time_s must be strictly increasing, also across "
+                f"chunks (last fed sample at {self._last_time_s} s)"
             )
+        ambient = columns["ambient_c"]
+        state = self._stream.extend(
+            columns["coolant_inlet_c"],
+            columns["coolant_flow_kg_s"],
+            ambient,
+            columns["air_flow_kg_s"],
+            columns.get("coolant_inlet_sensed_c"),
+            columns.get("coolant_flow_sensed_kg_s"),
+        )
         scanned = self._scanner.scan_batch(state.sensed_temps_c)
         emitted: List[DecisionRecord] = []
         for j in range(times.size):
             index = self._sample_index + j
             t = float(times[j])
             amb = float(ambient[j])
-            if self._micro_batched:
-                # PeriodicPolicy's gating arithmetic, verbatim.
-                if t + 1.0e-9 < self._next_run_s:
-                    continue
-                self._next_run_s = t + float(
-                    self._scenario.control_period_s
-                )
-                self._pending.append(
-                    PendingDecision(
-                        index=index,
-                        time_s=t,
-                        emf_row=self._emf_coef * (scanned[j] - amb),
-                    )
-                )
-            elif self._dnor_batched:
-                # DNORPolicy's own epoch gating; the history snapshot
-                # and refit row count are frozen at the boundary, so
-                # the hub's later stacked plan sees exactly what the
-                # inline decide() would have seen.
-                due = self._policy.observe(t, scanned[j])
-                if due is not None:
-                    history, n_new = due
-                    self._pending_epochs.append(
-                        PendingEpoch(
-                            index=index,
-                            time_s=t,
-                            ambient_c=amb,
-                            history=history,
-                            new_rows=n_new,
-                        )
-                    )
-            else:
+            if not self._micro_batched:
                 decision = self._policy.decide(t, scanned[j], amb)
                 if decision is not None:
-                    record = DecisionRecord(
-                        index=index,
-                        time_s=t,
-                        starts=tuple(int(s) for s in decision.starts),
-                        n_groups=len(decision.starts),
-                    )
+                    record = DecisionRecord.applied(index, t, decision.starts)
                     self._records.append(record)
                     emitted.append(record)
+            elif self._policy_name == "INOR":
+                due = self._policy.observe(t, scanned[j], amb)
+                if due is not None:
+                    emf, _ = due
+                    self._pending.append(PendingDecision(index, t, emf))
+            else:
+                # The history snapshot and refit row count are frozen
+                # at the boundary, so the hub's later stacked plan sees
+                # exactly what the inline decide() would have seen.
+                due = self._policy.observe(t, scanned[j])
+                if due is not None:
+                    history, new_rows = due
+                    self._pending_epochs.append(
+                        PendingEpoch(index, t, amb, history, new_rows)
+                    )
         self._sample_index += times.size
+        self._last_time_s = float(times[-1])
         return emitted
 
     def feed_trace(self, trace, lo: int, hi: int) -> List[DecisionRecord]:
@@ -360,16 +360,11 @@ class StreamSession:
                 f"{len(starts_per_row)} winner rows for "
                 f"{len(self._pending)} pending decisions"
             )
-        emitted: List[DecisionRecord] = []
-        for pending, starts in zip(self._pending, starts_per_row):
-            record = DecisionRecord(
-                index=pending.index,
-                time_s=pending.time_s,
-                starts=tuple(int(s) for s in starts),
-                n_groups=len(starts),
-            )
-            self._records.append(record)
-            emitted.append(record)
+        emitted = [
+            DecisionRecord.applied(pending.index, pending.time_s, starts)
+            for pending, starts in zip(self._pending, starts_per_row)
+        ]
+        self._records.extend(emitted)
         self._pending = []
         return emitted
 
@@ -390,11 +385,8 @@ class StreamSession:
         config = self._policy.commit(pending.time_s, decision)
         if config is None:
             return None
-        record = DecisionRecord(
-            index=pending.index,
-            time_s=pending.time_s,
-            starts=tuple(int(s) for s in config.starts),
-            n_groups=len(config.starts),
+        record = DecisionRecord.applied(
+            pending.index, pending.time_s, config.starts
         )
         self._records.append(record)
         return record
@@ -427,12 +419,5 @@ def offline_decision_log(
         t = float(trace.time_s[i])
         decision = policy_obj.decide(t, scanned[i], float(trace.ambient_c[i]))
         if decision is not None:
-            records.append(
-                DecisionRecord(
-                    index=i,
-                    time_s=t,
-                    starts=tuple(int(s) for s in decision.starts),
-                    n_groups=len(decision.starts),
-                )
-            )
+            records.append(DecisionRecord.applied(i, t, decision.starts))
     return records

@@ -33,8 +33,8 @@ across the group.  The parity argument layer by layer:
   elementwise, so batching them over a case axis reuses the same doubles;
 * the decision epochs of :class:`~repro.core.controller.PeriodicPolicy`
   and :class:`~repro.core.controller.DNORPolicy` depend only on the
-  shared time vector and period, so one replicated schedule drives
-  every case;
+  shared time vector and period, so one run of their
+  :class:`~repro.core.controller.EpochClock` drives every case;
 * ``inor_stack`` / ``dnor_stack`` / ``array_mpp_rows`` are pinned
   bit-identical to their per-case forms by the kernel parity suites.
 
@@ -53,78 +53,74 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.controller import EpochClock
 from repro.core.dnor import dnor_stack
 from repro.core.inor import _inor_stack_raw, parse_inor_kernel
-from repro.core.overhead import OverheadEvent
 from repro.errors import SimulationError
 from repro.sim.results import SimulationResult
+from repro.teg.array import TEGArray
 from repro.teg.network import array_mpp_rows
 
 __all__ = ["fusable_reason", "run_grid_stacked"]
+
+#: One lane's executed reconfigurations: ``(sample index, time, toggles,
+#: compute seconds)`` per billed event, in time order.
+Bill = List[Tuple[int, float, int, float]]
+#: One lane's runs of constant configuration: ``(first sample, starts)``.
+Segments = List[Tuple[int, Tuple[int, ...]]]
 
 
 def fusable_reason(case) -> Optional[str]:
     """Why ``case`` cannot join a fused group, or ``None`` if it can.
 
-    The fused pass covers the grid's hot diagonals — batched-kernel
-    INOR and DNOR under deterministic (nominal) compute accounting,
-    plus the trivially stackable Baseline — and leaves every other
-    shape to the bit-identical per-case path rather than growing
-    special cases.
+    The scenario's kernel-level rule
+    (:meth:`~repro.sim.scenario.Scenario.unstackable_reason`) plus the
+    fused executor's own: exact MPP tracking for the fused electrical
+    pass, and a nominal compute bill for INOR too (the fused runtime is
+    shared across lanes, so a measured bill would not be per-case).
+    Baseline is the trivially stackable extra.
     """
     scenario = case.scenario
     if not scenario.make_charger(with_battery=case.with_battery).exact_tracking:
         return "P&O tracking is inherently sequential"
     if case.policy == "Baseline":
         return None
-    if case.policy not in ("INOR", "DNOR"):
-        return f"policy {case.policy!r} has no stacked epoch kernel"
-    mode, _ = parse_inor_kernel(scenario.inor_kernel)
-    if mode != "batched":
-        return f"kernel {scenario.inor_kernel!r} is the scalar reference"
-    if scenario.nominal_compute_s is None:
+    reason = scenario.unstackable_reason(case.policy)
+    if reason is None and scenario.nominal_compute_s is None:
         return "measured compute time is per-case wall-clock"
-    return None
+    return reason
 
 
-def _group_key(case, physics) -> Tuple:
-    """Hashable fused-group identity: one key, one stacked epoch stream."""
-    scenario = case.scenario
-    _, backend = parse_inor_kernel(scenario.inor_kernel)
-    key: Tuple = (
-        case.policy,
-        id(physics),
-        int(scenario.n_modules),
-        float(scenario.control_period_s),
-        scenario.module,
-        scenario.make_charger(with_battery=False).converter,
-        backend,
-    )
-    if case.policy == "DNOR":
-        # DNOR epochs fire every tp + 1 seconds; only cases on the same
-        # epoch clock (and horizon geometry) share a stacked stream.
-        key += (float(scenario.tp_seconds),)
-    return key
+def _fused_groups(
+    cases: Sequence, physics_per_case: Sequence
+) -> Dict[Tuple, List[int]]:
+    """Case indices of every fused group: one key, one stacked stream.
+
+    The key is the scenario's stacking key (policy first) plus the
+    executor's own constraints: one shared physics precompute and one
+    control period.
+    """
+    groups: Dict[Tuple, List[int]] = {}
+    for index, (case, physics) in enumerate(zip(cases, physics_per_case)):
+        if fusable_reason(case) is None:
+            scenario = case.scenario
+            key = scenario.stacking_key(case.policy) + (
+                id(physics),
+                float(scenario.control_period_s),
+            )
+            groups.setdefault(key, []).append(index)
+    return groups
 
 
 def _decision_schedule(time_s: np.ndarray, period_s: float) -> List[int]:
     """Sample indices where a periodic policy fires.
 
-    Replicates the gating arithmetic of
-    :class:`~repro.core.controller.PeriodicPolicy` and
-    :class:`~repro.core.controller.DNORPolicy` exactly (same float
-    comparisons on the same doubles), so the fused loop visits precisely
-    the samples the per-case loops would decide on.
+    Runs the policies' own :class:`~repro.core.controller.EpochClock`
+    over the shared time vector, so the fused loop visits precisely the
+    samples the per-case loops decide on.
     """
-    fire: List[int] = []
-    next_run = 0.0
-    for i in range(time_s.size):
-        t = float(time_s[i])
-        if t + 1.0e-9 < next_run:
-            continue
-        next_run = t + float(period_s)
-        fire.append(i)
-    return fire
+    clock = EpochClock(period_s)
+    return [i for i in range(time_s.size) if clock.due(float(time_s[i]))]
 
 
 def _scan_group(cases: Sequence, physics) -> np.ndarray:
@@ -142,45 +138,86 @@ def _scan_group(cases: Sequence, physics) -> np.ndarray:
     return scanned
 
 
-def _collate_group(
-    cases: Sequence,
-    physics,
-    run_chargers: Sequence,
-    scheme: str,
-    runtimes: np.ndarray,
-    billed: Sequence[List[Tuple[int, float, int]]],
-    switch_times: Sequence[List[float]],
-    segments: Sequence[List[Tuple[int, Tuple[int, ...]]]],
-) -> List[SimulationResult]:
-    """Fused electrical pass + per-case result packaging.
+def _spans(segments: Segments, n: int) -> List[Tuple[int, int, Tuple[int, ...]]]:
+    """``(lo, hi, starts)`` runs of constant configuration over ``n`` samples."""
+    bounds = [idx for idx, _ in segments[1:]] + [n]
+    return [(lo, hi, starts) for (lo, starts), hi in zip(segments, bounds)]
 
-    The shared tail of every group runner: all ``(case, span)`` runs
-    sharing one configuration evaluate through a single row-stacked
-    reduction (:func:`array_mpp_rows` is row-independent, so stacking
-    — and de-duplicating identical spans, the Baseline case — is
-    bit-safe), then the overhead bill, battery replay and result
-    packaging replicate the serial engine per case.
+
+def _electrical_series_stepwise(
+    physics, segments: Segments, charger
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-step charger operation (P&O tracking) on precomputed physics.
+
+    The only electrical path for P&O chargers: the tracker's limit
+    cycle is inherently sequential, and ``charger.step`` charges the
+    battery as it goes.
+    """
+    n = physics.n_samples
+    dt = physics.trace.dt_s
+    gross = np.empty(n)
+    delivered = np.empty(n)
+    voltage = np.empty(n)
+    array = TEGArray(physics.module, physics.n_modules)
+    mean_temps = physics.true_mean_temps_c
+    for lo, hi, starts in _spans(segments, n):
+        for i in range(lo, hi):
+            array.set_thermal_state(physics.true_delta_t_k[i], mean_temps[i])
+            report = charger.step(array, starts, dt)
+            gross[i] = report.array_power_w
+            delivered[i] = report.delivered_power_w
+            voltage[i] = report.array_voltage_v
+    return gross, delivered, voltage
+
+
+def _collate_group(
+    physics,
+    scheme: str,
+    chargers: Sequence,
+    overheads: Sequence,
+    runtimes: Sequence[np.ndarray],
+    bills: Sequence[Bill],
+    segments: Sequence[Segments],
+) -> List[SimulationResult]:
+    """Electrical pass + result packaging for a set of lanes.
+
+    The one place decisions become :class:`SimulationResult` s: the
+    serial step loop calls it with one lane, the fused group runners
+    with one lane per case.  Every ``(lane, span)`` run sharing one
+    configuration evaluates through a single row-stacked reduction
+    (:func:`array_mpp_rows` is row-independent, so stacking — and
+    de-duplicating identical spans, the Baseline case — is bit-safe);
+    P&O lanes take :func:`_electrical_series_stepwise` instead.  Then
+    each lane's converter curve, overhead bill (charged at the
+    pre-switch delivered power, with the compute seconds its bill
+    entry carries) and battery replay.
     """
     trace = physics.trace
     n = trace.n_samples
     dt = trace.dt_s
-    n_cases = len(cases)
-    n_modules = physics.n_modules
+    n_lanes = len(chargers)
+    gross = [np.empty(n) for _ in range(n_lanes)]
+    voltage = [np.empty(n) for _ in range(n_lanes)]
+    delivered: List[Optional[np.ndarray]] = [None] * n_lanes
+    spans = [_spans(lane, n) for lane in segments]
 
-    gross = np.empty((n_cases, n))
-    voltage = np.empty((n_cases, n))
-    delivered = np.empty((n_cases, n))
-    resistance = np.full(n_modules, physics.module_resistance_ohm)
+    # Identical elementwise ops to TEGArray.resistance_vector — the
+    # constant-parameter chain has one shared resistance.
+    resistance = np.full(physics.n_modules, physics.module_resistance_ohm)
     spans_by_config: Dict[Tuple[int, ...], List[Tuple[int, int, int]]] = {}
-    for k in range(n_cases):
-        bounds = [idx for idx, _ in segments[k]] + [n]
-        for (lo, starts), hi in zip(segments[k], bounds[1:]):
+    for k, charger in enumerate(chargers):
+        if not charger.exact_tracking:
+            gross[k], delivered[k], voltage[k] = _electrical_series_stepwise(
+                physics, segments[k], charger
+            )
+            continue
+        for lo, hi, starts in spans[k]:
             spans_by_config.setdefault(starts, []).append((k, lo, hi))
-    for starts, spans in spans_by_config.items():
+    for starts, config_spans in spans_by_config.items():
         # Distinct sample windows only: Baseline groups (and repeated
-        # partitions generally) share whole spans across cases, which
-        # would otherwise be evaluated once per case.
-        windows = sorted({(lo, hi) for _, lo, hi in spans})
+        # partitions generally) share whole spans across lanes, which
+        # would otherwise be evaluated once per lane.
+        windows = sorted({(lo, hi) for _, lo, hi in config_spans})
         rows = np.concatenate(
             [physics.emf_true[lo:hi] for lo, hi in windows], axis=0
         )
@@ -191,54 +228,68 @@ def _collate_group(
         for lo, hi in windows:
             cursors[(lo, hi)] = cursor
             cursor += hi - lo
-        for k, lo, hi in spans:
+        for k, lo, hi in config_spans:
             at = cursors[(lo, hi)]
-            width = hi - lo
-            gross[k, lo:hi] = power[at : at + width]
-            voltage[k, lo:hi] = volt[at : at + width]
-    for k in range(n_cases):
-        delivered[k] = run_chargers[k].converter.output_power_batch(
-            gross[k], voltage[k]
-        )
+            gross[k][lo:hi] = power[at : at + hi - lo]
+            voltage[k][lo:hi] = volt[at : at + hi - lo]
 
     results: List[SimulationResult] = []
-    for k, case in enumerate(cases):
-        nominal = case.scenario.nominal_compute_s
-        overhead = case.scenario.overhead
-        events: List[OverheadEvent] = []
-        for i, t, toggles in billed[k]:
-            previous = float(delivered[k, i - 1]) if i > 0 else 0.0
-            events.append(
-                overhead.event(
-                    time_s=t,
-                    power_w=max(previous, 0.0),
-                    compute_time_s=nominal,
-                    toggles=toggles,
-                )
+    for k, charger in enumerate(chargers):
+        if charger.exact_tracking:
+            delivered[k] = charger.converter.output_power_batch(
+                gross[k], voltage[k]
             )
-        charger = run_chargers[k]
-        if charger.battery is not None and charger.exact_tracking:
-            for i in range(n):
-                charger.battery.accept(float(delivered[k, i]), dt)
+            if charger.battery is not None:
+                # Replay the bus power into the battery so its state of
+                # charge ends where the per-step loop would leave it.
+                for i in range(n):
+                    charger.battery.accept(float(delivered[k][i]), dt)
+        events = tuple(
+            overheads[k].event(
+                time_s=t,
+                power_w=max(float(delivered[k][i - 1]) if i > 0 else 0.0, 0.0),
+                compute_time_s=compute_s,
+                toggles=toggles,
+            )
+            for i, t, toggles, compute_s in bills[k]
+        )
         groups = np.zeros(n, dtype=np.int64)
-        bounds = [idx for idx, _ in segments[k]] + [n]
-        for (lo, starts), hi in zip(segments[k], bounds[1:]):
+        for lo, hi, starts in spans[k]:
             groups[lo:hi] = len(starts)
         results.append(
             SimulationResult(
                 scheme=scheme,
                 time_s=trace.time_s.copy(),
-                gross_power_w=gross[k].copy(),
-                delivered_power_w=delivered[k].copy(),
+                gross_power_w=gross[k],
+                delivered_power_w=delivered[k],
                 ideal_power_w=physics.ideal_power_w.copy(),
-                array_voltage_v=voltage[k].copy(),
+                array_voltage_v=voltage[k],
                 runtime_s=runtimes[k].copy(),
-                overhead_events=tuple(events),
-                switch_times_s=tuple(switch_times[k]),
+                overhead_events=events,
+                switch_times_s=tuple(t for _, t, _, _ in bills[k]),
                 n_groups_series=groups,
             )
         )
     return results
+
+
+def _collate_cases(
+    cases: Sequence,
+    physics,
+    scheme: str,
+    runtimes: np.ndarray,
+    bills: Sequence[Bill],
+    segments: Sequence[Segments],
+) -> List[SimulationResult]:
+    """:func:`_collate_group` with each case's own charger and bill model."""
+    chargers = [
+        case.scenario.make_charger(with_battery=case.with_battery)
+        for case in cases
+    ]
+    overheads = [case.scenario.overhead for case in cases]
+    return _collate_group(
+        physics, scheme, chargers, overheads, runtimes, bills, segments
+    )
 
 
 def _run_inor_group(cases: Sequence, physics) -> List[SimulationResult]:
@@ -251,10 +302,7 @@ def _run_inor_group(cases: Sequence, physics) -> List[SimulationResult]:
     module = scenario0.module
     _, backend = parse_inor_kernel(scenario0.inor_kernel)
     rank_charger = scenario0.make_charger(with_battery=False)
-    run_chargers = [
-        case.scenario.make_charger(with_battery=case.with_battery)
-        for case in cases
-    ]
+    nominals = [case.scenario.nominal_compute_s for case in cases]
     scanned = _scan_group(cases, physics)
 
     # Thevenin map constants (thevenin_from_temps, batched over cases).
@@ -262,11 +310,8 @@ def _run_inor_group(cases: Sequence, physics) -> List[SimulationResult]:
     decision_resistance = np.full(n_modules, module.internal_resistance())
 
     runtimes = np.zeros((n_cases, n))
-    billed: List[List[Tuple[int, float, int]]] = [[] for _ in range(n_cases)]
-    switch_times: List[List[float]] = [[] for _ in range(n_cases)]
-    segments: List[List[Tuple[int, Tuple[int, ...]]]] = [
-        [] for _ in range(n_cases)
-    ]
+    bills: List[Bill] = [[] for _ in range(n_cases)]
+    segments: List[Segments] = [[] for _ in range(n_cases)]
     case_index = np.arange(n_cases)
     # Configurations live as boolean start-membership rows: the switch
     # fabric's toggle count is 3x the symmetric difference of the start
@@ -309,17 +354,13 @@ def _run_inor_group(cases: Sequence, physics) -> List[SimulationResult]:
             # "switch at every time point"), toggles included even when
             # the new partition equals the old one.
             for k in range(n_cases):
-                billed[k].append((i, t, 3 * int(flips[k])))
-                switch_times[k].append(t)
+                bills[k].append((i, t, 3 * int(flips[k]), nominals[k]))
         for k in np.flatnonzero((flips > 0) | (epoch == 0)):
             starts = tuple(int(s) for s in np.flatnonzero(decided[k]))
             segments[k].append((i, starts))
         membership = decided
 
-    return _collate_group(
-        cases, physics, run_chargers, "INOR",
-        runtimes, billed, switch_times, segments,
-    )
+    return _collate_cases(cases, physics, "INOR", runtimes, bills, segments)
 
 
 def _run_dnor_group(cases: Sequence, physics) -> List[SimulationResult]:
@@ -335,22 +376,15 @@ def _run_dnor_group(cases: Sequence, physics) -> List[SimulationResult]:
     trace = physics.trace
     n = trace.n_samples
     n_cases = len(cases)
-    n_modules = physics.n_modules
-    run_chargers = [
-        case.scenario.make_charger(with_battery=case.with_battery)
-        for case in cases
-    ]
     policies = [case.scenario.make_dnor_policy() for case in cases]
+    nominals = [case.scenario.nominal_compute_s for case in cases]
     planners = [policy.planner for policy in policies]
     caps = [policy._history.maxlen for policy in policies]
     scanned = _scan_group(cases, physics)
 
     runtimes = np.zeros((n_cases, n))
-    billed: List[List[Tuple[int, float, int]]] = [[] for _ in range(n_cases)]
-    switch_times: List[List[float]] = [[] for _ in range(n_cases)]
-    segments: List[List[Tuple[int, Tuple[int, ...]]]] = [
-        [] for _ in range(n_cases)
-    ]
+    bills: List[Bill] = [[] for _ in range(n_cases)]
+    segments: List[Segments] = [[] for _ in range(n_cases)]
     currents: List[Optional[object]] = [None] * n_cases
 
     prev_i: Optional[int] = None
@@ -375,22 +409,16 @@ def _run_dnor_group(cases: Sequence, physics) -> List[SimulationResult]:
         for k, decision in enumerate(decisions):
             if not decision.switch:
                 continue
-            if currents[k] is None:
-                # Commissioning the initial wiring is free: every
-                # scheme starts from the same cold array.
-                pass
-            else:
+            # Commissioning the initial wiring is free: every scheme
+            # starts from the same cold array.
+            if currents[k] is not None:
                 toggles = currents[k].switch_toggles_to(decision.config)
-                billed[k].append((i, t, toggles))
-                switch_times[k].append(t)
+                bills[k].append((i, t, toggles, nominals[k]))
             segments[k].append((i, decision.config.starts))
             currents[k] = decision.config
         prev_i = i
 
-    return _collate_group(
-        cases, physics, run_chargers, "DNOR",
-        runtimes, billed, switch_times, segments,
-    )
+    return _collate_cases(cases, physics, "DNOR", runtimes, bills, segments)
 
 
 def _run_baseline_group(cases: Sequence, physics) -> List[SimulationResult]:
@@ -405,22 +433,14 @@ def _run_baseline_group(cases: Sequence, physics) -> List[SimulationResult]:
     static policy never reads the sensed temperatures, and each case's
     scanner is private state, so the omission is unobservable.
     """
-    n_cases = len(cases)
-    n = physics.trace.n_samples
-    run_chargers = [
-        case.scenario.make_charger(with_battery=case.with_battery)
-        for case in cases
-    ]
-    runtimes = np.zeros((n_cases, n))
-    billed: List[List[Tuple[int, float, int]]] = [[] for _ in range(n_cases)]
-    switch_times: List[List[float]] = [[] for _ in range(n_cases)]
+    runtimes = np.zeros((len(cases), physics.trace.n_samples))
     segments = [
         [(0, case.scenario.make_baseline_policy().config.starts)]
         for case in cases
     ]
-    return _collate_group(
-        cases, physics, run_chargers, "Baseline",
-        runtimes, billed, switch_times, segments,
+    bills: List[Bill] = [[] for _ in cases]
+    return _collate_cases(
+        cases, physics, "Baseline", runtimes, bills, segments
     )
 
 
@@ -446,11 +466,10 @@ def run_grid_stacked(
     from repro.sim.engine import run_case  # circular-import guard
 
     results: List[Optional[SimulationResult]] = [None] * len(cases)
-    groups: Dict[Tuple, List[int]] = {}
+    groups = _fused_groups(cases, physics_per_case)
+    fused_indices = {index for indices in groups.values() for index in indices}
     for index, (case, physics) in enumerate(zip(cases, physics_per_case)):
-        if fusable_reason(case) is None:
-            groups.setdefault(_group_key(case, physics), []).append(index)
-        else:
+        if index not in fused_indices:
             results[index] = run_case(case, physics)
     for key, indices in groups.items():
         members = [cases[i] for i in indices]

@@ -33,6 +33,7 @@ from repro.core.controller import (
     StaticPolicy,
 )
 from repro.core.dnor import DNORPlanner
+from repro.core.inor import parse_inor_kernel
 from repro.core.overhead import SwitchingOverheadModel
 from repro.power.battery import LeadAcidBattery
 from repro.power.charger import TEGCharger
@@ -250,6 +251,43 @@ class Scenario:
         return physics_fingerprint(
             self.trace, self.boundary, self.module, self.n_modules
         )
+
+    def unstackable_reason(self, policy: str) -> Optional[str]:
+        """Why ``policy`` lanes cannot share a stacked decision pass,
+        or ``None`` if they can.
+
+        The kernel-level rule: only INOR and DNOR have stacked kernels,
+        only on the batched INOR kernel, and fused DNOR planning needs
+        nominal compute accounting.  Callers add their own constraints.
+        """
+        if policy not in ("INOR", "DNOR"):
+            return f"policy {policy!r} has no stacked epoch kernel"
+        mode, _ = parse_inor_kernel(self.inor_kernel)
+        if mode != "batched":
+            return f"kernel {self.inor_kernel!r} is the scalar reference"
+        if policy == "DNOR" and self.nominal_compute_s is None:
+            return "measured compute time is per-case wall-clock"
+        return None
+
+    def stacking_key(self, policy: str) -> Tuple:
+        """Hashable stacking identity of a ``policy`` lane.
+
+        Equal keys share every input the stacked kernels treat as
+        common: chain length, module, converter and kernel backend,
+        plus DNOR's horizon geometry.  The hub groups sessions by it;
+        the fused executor and the shard add their own constraints.
+        """
+        _, backend = parse_inor_kernel(self.inor_kernel)
+        key: Tuple = (
+            policy,
+            int(self.n_modules),
+            self.module,
+            self.make_charger(with_battery=False).converter,
+            backend,
+        )
+        if policy == "DNOR":
+            key += (float(self.tp_seconds), float(self.trace.dt_s))
+        return key
 
     # ------------------------------------------------------------------
     # Loss-free JSON round trip (the shard manifest format)

@@ -70,7 +70,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.core.inor import parse_inor_kernel
 from repro.errors import SimulationError
 from repro.sim._atomic import atomic_write
 from repro.sim.cache import PhysicsCache
@@ -326,33 +325,6 @@ def _group_id(index: int) -> str:
     return f"group-{index:05d}"
 
 
-def _fused_group_key(case: ExperimentCase) -> Tuple:
-    """Machine-independent fused-group identity of one case.
-
-    The shard-time twin of :func:`repro.sim.gridstack._group_key`: the
-    content fingerprint replaces ``id(physics)`` (workers rebuild
-    cases from JSON, so object identity cannot travel through the
-    manifest).  Cases sharing this key load one physics artifact and
-    run through one stacked pass; the runtime grouping inside
-    :func:`~repro.sim.gridstack.run_grid_stacked` re-derives the same
-    partition over the shared physics object.
-    """
-    scenario = case.scenario
-    _, backend = parse_inor_kernel(scenario.inor_kernel)
-    key: Tuple = (
-        case.policy,
-        scenario.physics_fingerprint(),
-        int(scenario.n_modules),
-        float(scenario.control_period_s),
-        scenario.module,
-        scenario.make_charger(with_battery=False).converter,
-        backend,
-    )
-    if case.policy == "DNOR":
-        key += (float(scenario.tp_seconds),)
-    return key
-
-
 def _compute_groups(
     case_ids: Sequence[str], cases: Sequence[ExperimentCase]
 ) -> Tuple[Tuple[str, Tuple[str, ...]], ...]:
@@ -365,22 +337,21 @@ def _compute_groups(
     manifest bytes.
     """
     members: Dict[Tuple, List[str]] = {}
-    order: List[Tuple] = []
     for case_id, case in zip(case_ids, cases):
         if fusable_reason(case) is not None:
             continue
-        key = _fused_group_key(case)
-        if key not in members:
-            members[key] = []
-            order.append(key)
-        members[key].append(case_id)
-    groups: List[Tuple[str, Tuple[str, ...]]] = []
-    for key in order:
-        ids = members[key]
-        if len(ids) < 2:
-            continue
-        groups.append((_group_id(len(groups)), tuple(ids)))
-    return tuple(groups)
+        # The scenario's stacking key plus the shard's own constraints:
+        # the content fingerprint in place of the executor's
+        # id(physics) (object identity cannot travel through the
+        # manifest) and the control period.
+        scenario = case.scenario
+        key = scenario.stacking_key(case.policy) + (
+            scenario.physics_fingerprint(),
+            float(scenario.control_period_s),
+        )
+        members.setdefault(key, []).append(case_id)
+    fused = [tuple(ids) for ids in members.values() if len(ids) > 1]
+    return tuple((_group_id(g), ids) for g, ids in enumerate(fused))
 
 
 def _default_worker_id() -> str:

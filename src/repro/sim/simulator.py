@@ -39,7 +39,7 @@ energy numbers from machine speed.
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional
 
 import numpy as np
 
@@ -47,10 +47,10 @@ from repro.core.controller import ReconfigurationPolicy
 from repro.core.overhead import OverheadEvent, SwitchingOverheadModel
 from repro.errors import SimulationError
 from repro.power.charger import TEGCharger
+from repro.sim.gridstack import Bill, Segments, _collate_group
 from repro.sim.physics import TracePhysics
 from repro.sim.results import SimulationResult
 from repro.teg.array import TEGArray
-from repro.teg.network import array_mpp_rows
 from repro.teg.model import ModuleModel
 from repro.teg.switches import SwitchFabric
 from repro.thermal.boundary import ThermalBoundary
@@ -225,19 +225,15 @@ class HarvestSimulator:
     ) -> SimulationResult:
         physics = self.physics
         trace = self._trace
-        dt = trace.dt_s
         n = trace.n_samples
         fabric = SwitchFabric(self._n_modules)
 
         runtimes = np.zeros(n)
-        groups = np.zeros(n, dtype=np.int64)
         # Chronological bill of executed reconfigurations; the energy
         # charge needs the pre-switch delivered power, which is only
         # known after the electrical pass.
-        billed: List[Tuple[int, float, int, float]] = []
-        switch_times: List[float] = []
-        # Runs of constant configuration: (first sample index, starts).
-        segments: List[Tuple[int, Tuple[int, ...]]] = []
+        bill: Bill = []
+        segments: Segments = []
         first_application = True
 
         # The controller works on the paper's heatsink-at-ambient
@@ -254,10 +250,8 @@ class HarvestSimulator:
 
         for i in range(n):
             t = float(trace.time_s[i])
-            sensed_temps = scanned[i]
-
             t0 = time.perf_counter()
-            decision = policy.decide(t, sensed_temps, float(trace.ambient_c[i]))
+            decision = policy.decide(t, scanned[i], float(trace.ambient_c[i]))
             decide_seconds = time.perf_counter() - t0
             runtimes[i] = decide_seconds
 
@@ -274,114 +268,20 @@ class HarvestSimulator:
                     # MPPT re-tracking even when the new partition
                     # happens to equal the old one (the paper's INOR
                     # and EHTR "switch at every time point").
-                    billed.append((i, t, toggles, decide_seconds))
-                    switch_times.append(t)
+                    compute_s = (
+                        decide_seconds
+                        if self._nominal_compute_s is None
+                        else self._nominal_compute_s
+                    )
+                    bill.append((i, t, toggles, compute_s))
             starts = tuple(fabric.starts)
             if not segments or segments[-1][1] != starts:
                 segments.append((i, starts))
-            groups[i] = len(starts)
 
-        gross, delivered, voltage = self._electrical_series(
-            physics, segments, charger
-        )
-
-        events: List[OverheadEvent] = []
-        for i, t, toggles, decide_seconds in billed:
-            previous_delivered = float(delivered[i - 1]) if i > 0 else 0.0
-            compute_s = (
-                decide_seconds
-                if self._nominal_compute_s is None
-                else self._nominal_compute_s
-            )
-            events.append(
-                self._overhead.event(
-                    time_s=t,
-                    power_w=max(previous_delivered, 0.0),
-                    compute_time_s=compute_s,
-                    toggles=toggles,
-                )
-            )
-
-        if charger.battery is not None and charger.exact_tracking:
-            # Replay the bus power into the battery so its state of
-            # charge ends exactly where the per-step loop would leave
-            # it (the accepted power itself is not a recorded series).
-            # The P&O fallback already charged it inside charger.step.
-            for i in range(n):
-                charger.battery.accept(float(delivered[i]), dt)
-
-        return SimulationResult(
-            scheme=policy.name,
-            time_s=trace.time_s.copy(),
-            gross_power_w=gross,
-            delivered_power_w=delivered,
-            ideal_power_w=physics.ideal_power_w.copy(),
-            array_voltage_v=voltage,
-            runtime_s=runtimes,
-            overhead_events=tuple(events),
-            switch_times_s=tuple(switch_times),
-            n_groups_series=groups,
-        )
-
-    def _electrical_series(
-        self,
-        physics: TracePhysics,
-        segments: List[Tuple[int, Tuple[int, ...]]],
-        charger: TEGCharger,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Array power / delivered power / voltage for the whole trace.
-
-        Each run of constant configuration is evaluated as one batched
-        Thevenin reduction over the precomputed EMF matrix followed by
-        one call into the converter's row-vector API.  Chargers with
-        P&O tracking enabled fall back to the scalar per-step path
-        (the tracker's limit cycle is inherently sequential).
-        """
-        n = physics.n_samples
-        if not charger.exact_tracking:
-            return self._electrical_series_stepwise(physics, segments, charger)
-        gross = np.empty(n)
-        delivered = np.empty(n)
-        voltage = np.empty(n)
-        # Identical elementwise ops to TEGArray.resistance_vector —
-        # the constant-parameter chain has one shared resistance.
-        resistance = np.full(physics.n_modules, physics.module_resistance_ohm)
-        bounds = [idx for idx, _ in segments] + [n]
-        for (lo, starts), hi in zip(segments, bounds[1:]):
-            power, volt = array_mpp_rows(
-                physics.emf_true[lo:hi], resistance, starts
-            )
-            power = np.maximum(power, 0.0)
-            gross[lo:hi] = power
-            voltage[lo:hi] = volt
-            delivered[lo:hi] = charger.converter.output_power_batch(power, volt)
-        return gross, delivered, voltage
-
-    def _electrical_series_stepwise(
-        self,
-        physics: TracePhysics,
-        segments: List[Tuple[int, Tuple[int, ...]]],
-        charger: TEGCharger,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per-step charger operation (P&O tracking) on precomputed physics."""
-        n = physics.n_samples
-        dt = self._trace.dt_s
-        gross = np.empty(n)
-        delivered = np.empty(n)
-        voltage = np.empty(n)
-        array = TEGArray(self._module, self._n_modules)
-        mean_temps = physics.true_mean_temps_c
-        bounds = [idx for idx, _ in segments] + [n]
-        for (lo, starts), hi in zip(segments, bounds[1:]):
-            for i in range(lo, hi):
-                array.set_thermal_state(
-                    physics.true_delta_t_k[i], mean_temps[i]
-                )
-                report = charger.step(array, starts, dt)
-                gross[i] = report.array_power_w
-                delivered[i] = report.delivered_power_w
-                voltage[i] = report.array_voltage_v
-        return gross, delivered, voltage
+        return _collate_group(
+            physics, policy.name, [charger], [self._overhead],
+            [runtimes], [bill], [segments],
+        )[0]
 
     # ------------------------------------------------------------------
     # Reference engine: the pre-refactor per-sample loop

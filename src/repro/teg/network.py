@@ -36,16 +36,9 @@ from repro.backend import (
     prefix_table,
     segmented_pairwise_sum,
 )
+from repro.backend._partition import _index_arange, _lift_plan
 from repro.errors import ConfigurationError
 from repro.teg.module import MPPPoint
-
-
-@lru_cache(maxsize=128)
-def _index_arange(n: int) -> np.ndarray:
-    """A shared, read-only ``arange(n)`` (hot-path index scaffolding)."""
-    indices = np.arange(n, dtype=np.int64)
-    indices.setflags(write=False)
-    return indices
 
 
 @lru_cache(maxsize=128)
@@ -64,20 +57,6 @@ def _window_layout(
         array.setflags(write=False)
     return counts, offsets, mask
 
-
-@lru_cache(maxsize=128)
-def _lift_plan(n_max: int) -> Tuple[Tuple[int, np.ndarray], ...]:
-    """Binary-lifting schedule: per bit, the read-only column indices
-    (iterate numbers ``j < n_max`` with that bit set)."""
-    j_index = _index_arange(n_max)
-    plan = []
-    bit = 1
-    while bit < n_max:
-        columns = j_index[(j_index & bit) != 0]
-        columns.setflags(write=False)
-        plan.append((bit, columns))
-        bit <<= 1
-    return tuple(plan)
 
 __all__ = [
     "PartitionSet",

@@ -137,3 +137,56 @@ class TestDNORPolicy:
         planner = self.make_policy().planner
         with pytest.raises(ConfigurationError):
             DNORPolicy(planner, history_rows=1)
+
+
+class TestPeriodicObserve:
+    """``observe`` + the algorithm is exactly ``decide`` — the split the
+    streaming hub relies on to stack INOR rows across sessions."""
+
+    @pytest.mark.parametrize("algorithm", ["inor", "ehtr"])
+    @pytest.mark.parametrize("period_s", [0.5, 1.2])
+    def test_observe_then_algorithm_equals_decide(self, algorithm, period_s):
+        import dataclasses
+
+        from repro.core.ehtr import ehtr
+        from repro.core.inor import inor
+        from repro.sim.physics import TracePhysics
+        from repro.sim.scenario import build_named_scenario
+
+        scenario = dataclasses.replace(
+            build_named_scenario("porter-ii", duration_s=20.0, n_modules=16),
+            control_period_s=period_s,
+        )
+        physics = TracePhysics.compute(
+            scenario.trace, scenario.boundary, scenario.module,
+            scenario.n_modules,
+        )
+        make = {
+            "inor": scenario.make_inor_policy,
+            "ehtr": scenario.make_ehtr_policy,
+        }[algorithm]
+        observer, decider = make(), make()
+        charger = scenario.make_charger(with_battery=False)
+        trace = scenario.trace
+        fired = 0
+        for i in range(trace.n_samples):
+            t = float(trace.time_s[i])
+            ambient = float(trace.ambient_c[i])
+            temps = physics.sensed_temps_c[i]
+            due = observer.observe(t, temps, ambient)
+            decided = decider.decide(t, temps, ambient)
+            assert (due is None) == (decided is None), i
+            if due is None:
+                continue
+            fired += 1
+            emf, res = due
+            if algorithm == "inor":
+                config = inor(
+                    emf, res, charger=charger, kernel=scenario.inor_kernel
+                ).config
+            else:
+                config = ehtr(emf, res).config
+            assert config == decided, i
+        assert 0 < fired <= trace.n_samples
+        if period_s > trace.dt_s:
+            assert fired < trace.n_samples

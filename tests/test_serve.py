@@ -257,6 +257,31 @@ class TestHubStacking:
         )
 
 
+    @pytest.mark.parametrize("policy", ["INOR", "DNOR"])
+    def test_stats_after_drain_only_pass(self, policy):
+        """A close-time drain is a full grouped pass: every counter,
+        the per-pass maxima included, accounts for it."""
+        scenario = build_named_scenario(
+            "porter-ii", duration_s=8.0, n_modules=9
+        )
+        hub = SessionHub()
+        session = hub.add(StreamSession(scenario, policy, "only"))
+        session.feed_trace(scenario.trace, 0, scenario.trace.n_samples)
+        queued = len(session.pending) + len(session.pending_epochs)
+        assert queued > 1
+        hub.drain("only")
+        stats = hub.stats.as_dict()
+        assert stats["epochs"] == 0
+        assert stats["rows_decided"] == queued
+        assert stats["max_sessions_per_pass"] == 1
+        if policy == "INOR":
+            assert stats["stacked_passes"] == 1
+            assert stats["max_rows_per_pass"] == queued
+        else:  # one stacked round per queued epoch
+            assert stats["stacked_passes"] == queued
+            assert stats["max_rows_per_pass"] == 1
+
+
 class TestSessionValidation:
     def test_feed_rejects_mismatched_columns(self):
         scenario = build_named_scenario(
@@ -272,6 +297,84 @@ class TestSessionValidation:
                 trace.ambient_c[:4],
                 trace.air_flow_kg_s[:4],
             )
+
+    @staticmethod
+    def _chunk(trace, lo, hi, **replace):
+        columns = {
+            name: np.array(getattr(trace, name)[lo:hi]) for name in FEED_COLUMNS
+        }
+        columns.update(replace)
+        return [columns[name] for name in FEED_COLUMNS]
+
+    @staticmethod
+    def _state(session):
+        return (
+            session.records,
+            len(session.pending),
+            len(session.pending_epochs),
+            session.n_samples_seen,
+            session._stream.n_samples_seen,
+        )
+
+    @pytest.mark.parametrize("policy", ["INOR", "DNOR", "EHTR"])
+    def test_rejected_chunks_leave_the_session_untouched(self, policy):
+        """Bad telemetry is refused before it reaches the physics
+        stream, the scanner or the policy: the session state is exactly
+        as before, and feeding on yields the offline log."""
+        scenario = build_named_scenario(
+            "porter-ii", duration_s=12.0, n_modules=9
+        )
+        trace = scenario.trace
+        hub = SessionHub()
+        session = hub.add(StreamSession(scenario, policy, "v"))
+        session.feed(*self._chunk(trace, 0, 5))
+        hub.run_epoch()
+        nan_inlet = np.array(trace.coolant_inlet_c[5:10])
+        nan_inlet[2] = np.nan
+        inf_sensed = np.array(trace.coolant_flow_sensed_kg_s[5:10])
+        inf_sensed[0] = np.inf
+        backwards = np.array(trace.time_s[5:10])[::-1]
+        repeated = np.array(trace.time_s[4:9])
+        bad_chunks = {
+            "non-finite": self._chunk(trace, 5, 10, coolant_inlet_c=nan_inlet),
+            "non-finite sensed": self._chunk(
+                trace, 5, 10, coolant_flow_sensed_kg_s=inf_sensed
+            ),
+            "backwards in chunk": self._chunk(trace, 5, 10, time_s=backwards),
+            "not after last sample": self._chunk(
+                trace, 5, 10, time_s=repeated
+            ),
+            "length mismatch": self._chunk(trace, 5, 10, time_s=trace.time_s[5:8]),
+        }
+        before = self._state(session)
+        for label, chunk in bad_chunks.items():
+            with pytest.raises(SimulationError):
+                session.feed(*chunk)
+            assert self._state(session) == before, label
+        lo = 5
+        while lo < trace.n_samples:
+            hi = min(lo + 7, trace.n_samples)
+            session.feed_trace(trace, lo, hi)
+            hub.run_epoch()
+            lo = hi
+        _assert_logs_equal(
+            session.records,
+            offline_decision_log(scenario, policy),
+            f"{policy} after rejected chunks",
+        )
+
+    def test_short_column_is_rejected_before_the_stream(self):
+        scenario = build_named_scenario(
+            "porter-ii", duration_s=2.0, n_modules=4
+        )
+        session = StreamSession(scenario, "INOR", "short")
+        trace = scenario.trace
+        chunk = self._chunk(trace, 0, 5)
+        chunk[1] = chunk[1][:3]  # coolant_inlet_c
+        with pytest.raises(SimulationError, match="coolant_inlet_c"):
+            session.feed(*chunk)
+        assert session.n_samples_seen == 0
+        assert session._stream.n_samples_seen == 0
 
     def test_unknown_policy_rejected(self):
         scenario = build_named_scenario(
@@ -427,3 +530,52 @@ class TestAsyncioServer:
             "session": "ok",
             "micro_batched": True,
         }
+
+    def test_server_answers_bad_telemetry_with_an_error_event(self):
+        scenario = build_named_scenario(
+            "porter-ii", duration_s=2.0, n_modules=4
+        )
+        trace = scenario.trace
+        cols = {
+            name: np.array(getattr(trace, name)[:4]) for name in FEED_COLUMNS
+        }
+        cols["coolant_inlet_c"][1] = np.nan
+
+        async def main():
+            server = StreamServer()
+            await server.start()
+            try:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", server.port
+                )
+                for request in (
+                    {
+                        "op": "open",
+                        "session": "v",
+                        "scenario": "porter-ii",
+                        "overrides": {"duration_s": 2.0, "n_modules": 4},
+                    },
+                    {
+                        "op": "feed",
+                        "session": "v",
+                        "cols": {
+                            name: encode_column(col)
+                            for name, col in cols.items()
+                        },
+                    },
+                ):
+                    writer.write((json.dumps(request) + "\n").encode("ascii"))
+                    await writer.drain()
+                opened = json.loads(await reader.readline())
+                error = json.loads(await reader.readline())
+                n_seen = server.hub.get("v").n_samples_seen
+                writer.close()
+                return opened, error, n_seen
+            finally:
+                await server.close()
+
+        opened, error, n_seen = asyncio.run(main())
+        assert opened["event"] == "opened"
+        assert error["event"] == "error"
+        assert "non-finite" in error["message"]
+        assert n_seen == 0

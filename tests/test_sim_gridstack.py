@@ -3,7 +3,7 @@
 The executor-level *bitwise* parity against ``executor="serial"`` lives
 in :mod:`tests.test_engine_parity`; this module pins the plumbing around
 the fused pass — which cases may fuse (:func:`fusable_reason`), that the
-replicated decision schedule is exactly the
+fused decision schedule is exactly the
 :class:`~repro.core.controller.PeriodicPolicy` gating, that unfusable
 cases fall back to the untouched per-case path in collation order, and
 that group failures surface with the member case names attached.
@@ -21,7 +21,7 @@ from repro.sim import gridstack
 from repro.sim.engine import EXECUTORS, ExperimentRunner, grid_cases, run_case
 from repro.sim.gridstack import (
     _decision_schedule,
-    _group_key,
+    _fused_groups,
     fusable_reason,
     run_grid_stacked,
 )
@@ -89,9 +89,19 @@ class TestFusableReason:
         assert reason is not None and "P&O" in reason
 
 
+def _policy_fires(policy, time_s):
+    """Sample indices where ``policy.observe`` reports a due period."""
+    temps = np.full(N_MODULES, 60.0)
+    return [
+        i
+        for i, t in enumerate(time_s)
+        if policy.observe(float(t), temps, 25.0) is not None
+    ]
+
+
 class TestDecisionSchedule:
-    """The replicated schedule is the PeriodicPolicy gate, float for
-    float — fed the same doubles, it must fire on the same samples."""
+    """The fused schedule is the PeriodicPolicy gate, float for float —
+    fed the same doubles, it must fire on the same samples."""
 
     @pytest.mark.parametrize(
         "dt,period",
@@ -102,14 +112,9 @@ class TestDecisionSchedule:
         policy = PeriodicPolicy(
             module=scenario.module, algorithm="inor", period_s=period
         )
-        fired = []
-        for i, t in enumerate(time_s):
-            t = float(t)
-            if t + 1.0e-9 < policy._next_run_s:
-                continue
-            policy._next_run_s = t + policy.period_s
-            fired.append(i)
-        assert _decision_schedule(time_s, period) == fired
+        assert _decision_schedule(time_s, period) == _policy_fires(
+            policy, time_s
+        )
 
     def test_first_sample_always_fires(self):
         assert _decision_schedule(np.array([0.0, 0.5, 1.0]), 10.0) == [0]
@@ -137,13 +142,7 @@ class TestDecisionSchedule:
         policy = PeriodicPolicy(
             module=scenario.module, algorithm="inor", period_s=period
         )
-        fired = []
-        for i, t in enumerate(time_s):
-            t = float(t)
-            if t + 1.0e-9 < policy._next_run_s:
-                continue
-            policy._next_run_s = t + policy.period_s
-            fired.append(i)
+        fired = _policy_fires(policy, time_s)
         assert fired  # the jittered trace must actually fire
         assert _decision_schedule(time_s, period) == fired
 
@@ -156,14 +155,16 @@ class TestGroupingAndFallback:
             scenario.trace, scenario.radiator, scenario.module,
             scenario.n_modules,
         )
-        base = _group_key(_case(scenario), physics)
-        same = _group_key(_case(scenario, scanner_noise_std_k=0.3), physics)
-        other_period = _group_key(
-            _case(scenario, control_period_s=1.0), physics
-        )
-        assert base == same  # noise axis only changes the scanner seed path
-        assert base != other_period
-        assert base != _group_key(_case(scenario), object())
+        cases = [
+            _case(scenario),
+            # The noise axis only changes the scanner seed path.
+            _case(scenario, scanner_noise_std_k=0.3),
+            _case(scenario, control_period_s=1.0),
+            _case(scenario, n_modules=9),
+            _case(scenario),
+        ]
+        groups = _fused_groups(cases, [physics] * 4 + [object()])
+        assert sorted(groups.values()) == [[0, 1], [2], [3], [4]]
 
     def test_mixed_grid_preserves_collation_order(self, scenario):
         """Fused + fallback cases come back in input order, and the

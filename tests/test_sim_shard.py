@@ -628,6 +628,50 @@ class TestFusedGroups:
         pending = sorted(p.name for p in (shard / "queue" / "pending").iterdir())
         assert pending == ["group-00000.json", "group-00001.json"]
 
+    def test_groups_match_the_runtime_grouping(self):
+        """The manifest's fused groups are exactly the groups
+        run_grid_stacked forms over the runner's shared physics
+        (singletons excepted: they stay case tickets)."""
+        from repro.sim.gridstack import _fused_groups
+        from repro.sim.shard import _compute_groups
+
+        scenarios = [
+            build_named_scenario(name, duration_s=10.0, n_modules=16)
+            for name in ("porter-ii", "cold-start", "exhaust-gas")
+        ]
+        cases = grid_cases(
+            scenarios,
+            ["INOR", "DNOR", "EHTR", "Baseline"],
+            n_modules=[9, 16],
+            scanner_noise_std_k=[0.02, 0.1],
+        )
+        cases.append(
+            dataclasses.replace(
+                cases[0],
+                name="porter-ii-INOR-scalar",
+                scenario=dataclasses.replace(
+                    cases[0].scenario, inor_kernel="scalar"
+                ),
+            )
+        )
+        physics = ExperimentRunner(cases, executor="gridstack")._shared_physics()
+        runtime = {
+            frozenset(cases[i].name for i in indices)
+            for indices in _fused_groups(cases, physics).values()
+            if len(indices) > 1
+        }
+        case_ids = [f"c{i}" for i in range(len(cases))]
+        names = dict(zip(case_ids, (case.name for case in cases)))
+        manifest = {
+            frozenset(names[case_id] for case_id in member_ids)
+            for _, member_ids in _compute_groups(case_ids, cases)
+        }
+        # INOR, DNOR and Baseline per scenario and chain length, each
+        # fusing its two noise variants; EHTR and the scalar kernel
+        # never fuse.
+        assert len(runtime) == 3 * 2 * 3
+        assert manifest == runtime
+
     def test_unfusable_cases_stay_case_tickets(self, tmp_path):
         # EHTR has no stacked epoch kernel; a lone Baseline is a
         # singleton — neither becomes a group ticket.

@@ -97,6 +97,22 @@ class TestDeterminismKnob:
         assert res_a.switch_overhead_j == pytest.approx(res_b.switch_overhead_j)
         assert np.allclose(res_a.delivered_power_w, res_b.delivered_power_w)
 
+    def test_measured_compute_bills_each_events_own_runtime(self):
+        """Without the nominal override, every billed event carries the
+        measured wall-clock of the decide() call that fired it."""
+        scenario = default_scenario(
+            duration_s=20.0, seed=9, n_modules=25, nominal_compute_s=None
+        )
+        result = scenario.make_simulator().run(
+            scenario.make_inor_policy(), scenario.make_charger()
+        )
+        assert result.overhead_events
+        for event in result.overhead_events:
+            i = int(np.searchsorted(result.time_s, event.time_s))
+            assert result.time_s[i] == event.time_s
+            assert event.compute_time_s == result.runtime_s[i]
+            assert event.compute_time_s > 0.0
+
 
 class TestIdealSeries:
     def test_matches_simulator_ideal(self, scenario, results):
