@@ -18,6 +18,21 @@ candidates:
 * the **end-to-end** ``inor()`` call — build + score + rank — must be
   >= 3x the ``kernel="scalar"`` reference.
 
+That sweep runs on a synthetic all-positive ``exp(-x)`` EMF profile,
+which never enters the back-biased accumulation walk.  A second bench
+replays the rows INOR really decides on: the seeded scanner draw of
+registry scenarios (porter-ii, nedc-drive) at every control period,
+split into *back-biased* rows (some module EMF negative, so every
+candidate takes the walk) and *clean* rows.  It reports the end-to-end
+``inor()`` cost per row, batched vs scalar, for each class, and gates
+
+* batched at least as fast as scalar on the back-biased class.
+
+The clean class is reported ungated: on small converter windows the
+batched build still pays its fixed scaffolding (the known cold-start
+clean-row regression, 318 vs 146 us/row, open in the ROADMAP walk
+item), which the walk does not touch.
+
 Environment knobs (used by the CI smoke job):
 
 * ``REPRO_BENCH_INOR_MODULES`` — chain length (default 100).
@@ -28,12 +43,16 @@ Environment knobs (used by the CI smoke job):
 import json
 import os
 import time
+from types import SimpleNamespace
 
 import numpy as np
 
 from conftest import emit, write_artifact
 from repro.core.inor import greedy_balanced_partition, inor
 from repro.power.charger import TEGCharger
+from repro.sim.cache import PhysicsCache
+from repro.sim.gridstack import _decision_schedule, _scan_group
+from repro.sim.scenario import build_named_scenario
 from repro.teg.network import array_mpp, array_mpp_multi
 
 N_MODULES = int(os.environ.get("REPRO_BENCH_INOR_MODULES", "100"))
@@ -47,6 +66,14 @@ GATED_WIDTH = 20
 GATE_SPEEDUP = 3.0
 #: End-to-end inor() gate — the whole decision (build + score + rank).
 GATE_INOR_SPEEDUP = 3.0
+
+#: Registry scenarios whose decision rows feed the real-row bench.
+ROW_SCENARIOS = ("porter-ii", "nedc-drive")
+#: Trace length of each scenario's drive, and the rows kept per class.
+ROW_DURATION_S = 120.0
+ROWS_PER_CLASS = 30
+#: Timed decisions per row and kernel (the best one counts).
+REPEATS_PER_ROW = 9
 
 
 def measure(fn, repeats: int = 7, inner: int = 100) -> float:
@@ -180,4 +207,113 @@ def test_batched_sweep_speedup():
             f"end-to-end inor(kernel='batched') only {t_is / t_ib:.1f}x "
             f"faster than kernel='scalar' at window {width} — the "
             f"partition build is the remaining cost"
+        )
+
+
+def decision_rows(name: str):
+    """``(emf_rows, resistance, charger)`` INOR decides on in ``name``.
+
+    The scenario's own seeded scanner draw at every control period,
+    referenced to ambient — the rows the program feeds ``inor``.
+    """
+    scenario = build_named_scenario(name, duration_s=ROW_DURATION_S)
+    physics = PhysicsCache().get_or_compute(
+        scenario.trace, scenario.boundary, scenario.module, scenario.n_modules
+    )
+    scanned = _scan_group([SimpleNamespace(scenario=scenario)], physics)[0]
+    trace = scenario.trace
+    idx = _decision_schedule(trace.time_s, scenario.control_period_s)
+    module = scenario.module
+    emf = module.emf_coefficient() * (scanned[idx] - trace.ambient_c[idx][:, None])
+    resistance = np.full(scenario.n_modules, module.internal_resistance())
+    return emf, resistance, scenario.make_charger()
+
+
+def registry_rows():
+    """(scenario, class, rows, us_scalar, us_batched) per row class."""
+    out = []
+    for name in ROW_SCENARIOS:
+        emf_rows, resistance, charger = decision_rows(name)
+        backbiased = np.any(emf_rows < 0.0, axis=1)
+        for label, mask in (("back-biased", backbiased), ("clean", ~backbiased)):
+            rows = emf_rows[mask][:ROWS_PER_CLASS]
+            if not rows.shape[0]:
+                continue
+
+            def decide(kernel, rows=rows):
+                return [
+                    inor(emf, resistance, charger=charger, kernel=kernel).config
+                    for emf in rows
+                ]
+
+            # The equivalence contract: same configuration on every row.
+            assert decide("scalar") == decide("batched")
+            # Best of repeated single decisions per row, the two kernels
+            # alternating so a slow spell of the host hits both.
+            best = {"scalar": np.full(len(rows), np.inf)}
+            best["batched"] = best["scalar"].copy()
+            for _ in range(REPEATS_PER_ROW):
+                for r, emf in enumerate(rows):
+                    for kernel, times in best.items():
+                        t0 = time.perf_counter()
+                        inor(emf, resistance, charger=charger, kernel=kernel)
+                        times[r] = min(times[r], time.perf_counter() - t0)
+            per_row = 1e6 / rows.shape[0]
+            out.append(
+                (
+                    name,
+                    label,
+                    rows.shape[0],
+                    best["scalar"].sum() * per_row,
+                    best["batched"].sum() * per_row,
+                )
+            )
+    return out
+
+
+def test_registry_rows_batched_vs_scalar():
+    """Real decision rows: batched inor() at least as fast as scalar on
+    back-biased rows; clean rows reported ungated."""
+    rows = registry_rows()
+    lines = [
+        f"INOR on registry decision rows - end-to-end inor() per row "
+        f"({ROW_DURATION_S:g} s drives, up to {ROWS_PER_CLASS} rows per class)",
+        f"{'scenario':>12s} {'class':>12s} {'rows':>5s} {'scalar (us)':>12s} "
+        f"{'batched (us)':>13s} {'speedup':>8s}",
+    ]
+    for name, label, n, us_s, us_b in rows:
+        gate = "gated" if label == "back-biased" else "ungated"
+        lines.append(
+            f"{name:>12s} {label:>12s} {n:5d} {us_s:12.1f} {us_b:13.1f} "
+            f"{us_s / us_b:7.2f}x  {gate}"
+        )
+    lines.append("")
+    lines.append(
+        "clean rows are ungated: the small-window clean-row regression "
+        "(cold-start) is a known open item."
+    )
+    emit("inor_kernel_rows.txt", "\n".join(lines))
+    write_artifact(
+        "inor_kernel_rows.json",
+        json.dumps(
+            [
+                {
+                    "scenario": name,
+                    "class": label,
+                    "rows": n,
+                    "scalar_us_per_row": us_s,
+                    "batched_us_per_row": us_b,
+                    "gated": label == "back-biased",
+                }
+                for name, label, n, us_s, us_b in rows
+            ],
+            indent=2,
+        ),
+    )
+    gated = [row for row in rows if row[1] == "back-biased"]
+    assert len(gated) == len(ROW_SCENARIOS), "a scenario had no back-biased rows"
+    for name, _, _, us_s, us_b in gated:
+        assert us_b <= us_s, (
+            f"batched inor() {us_b:.0f} us/row slower than scalar "
+            f"{us_s:.0f} us/row on {name} back-biased rows"
         )

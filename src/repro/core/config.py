@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.teg.network import validate_starts
-from repro.teg.switches import count_junction_flips, count_switch_toggles
+from repro.teg.switches import SWITCHES_PER_JUNCTION_FLIP
 
 
 @dataclass(frozen=True)
@@ -165,12 +165,13 @@ class ArrayConfiguration:
     def junction_flips_to(self, other: "ArrayConfiguration") -> int:
         """Junctions changing state when switching to ``other``."""
         self._check_compatible(other)
-        return count_junction_flips(self.starts, other.starts, self.n_modules)
+        # Both starts were validated at construction: count the group
+        # boundaries that differ (count_junction_flips without checks).
+        return len(set(self.starts[1:]).symmetric_difference(other.starts[1:]))
 
     def switch_toggles_to(self, other: "ArrayConfiguration") -> int:
         """Individual switch toggles when switching to ``other``."""
-        self._check_compatible(other)
-        return count_switch_toggles(self.starts, other.starts, self.n_modules)
+        return SWITCHES_PER_JUNCTION_FLIP * self.junction_flips_to(other)
 
     def _check_compatible(self, other: "ArrayConfiguration") -> None:
         if self.n_modules != other.n_modules:

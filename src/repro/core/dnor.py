@@ -754,14 +754,10 @@ def dnor_stack(
             candidate = proposals[k]
             energy_old = float(energies[2 * j])
             energy_new = float(energies[2 * j + 1])
-            # The scalar switching bill (kept per-lane verbatim): the
-            # pre-switch power at the decision instant and the paper's
-            # overhead inequality.
-            power_now = planner._charger.delivered_at_mpp(
-                array_mpp(emf_rows[k], resistance, current.starts)
-            )
+            # The scalar switching bill: the pre-switch power is the
+            # current configuration's horizon row 0 (it is temps_now).
             energy_overhead = planner._overhead.event_energy_j(
-                power_w=max(power_now, 0.0),
+                power_w=max(float(delivered[2 * j, 0]), 0.0),
                 compute_time_s=planner._nominal_compute_s,
                 toggles=current.switch_toggles_to(candidate),
             )

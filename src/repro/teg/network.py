@@ -144,7 +144,7 @@ def greedy_balanced_partition(mpp_currents: np.ndarray, n_groups: int) -> np.nda
     * **Windows containing back-biased modules** (negative currents)
       fall back to the classic accumulation walk, whose
       stop-at-first-error-increase behaviour is the reference there —
-      and :func:`partition_multi` delegates to it verbatim.
+      :func:`partition_multi` sweeps it for every candidate at once.
 
     Returns
     -------
@@ -242,38 +242,30 @@ def _greedy_accumulation_walk(
         pos = cut
 
 
-def _accumulation_walk_multi(
-    currents: np.ndarray, counts: np.ndarray
-) -> np.ndarray:
-    """All candidates' accumulation walks, advanced in lockstep.
-
-    The candidate-vectorised twin of :func:`_greedy_accumulation_walk`
-    for one current vector; delegates to the row-aware
-    :func:`_accumulation_walk_rows` with every lane reading row 0.
-    """
-    rows = np.ascontiguousarray(currents, dtype=float)[None, :]
-    return _accumulation_walk_rows(
-        rows, np.zeros(counts.size, dtype=np.int64), counts
-    )
+#: Columns per accumulation-sweep block: bounds the seed table at two
+#: doubles per column and lane, and sets how often the sweep may stop.
+_SWEEP_BLOCK = 32
 
 
 def _accumulation_walk_rows(
     currents_rows: np.ndarray, row_of: np.ndarray, counts: np.ndarray
 ) -> np.ndarray:
-    """Lockstep accumulation walks across many current vectors at once.
+    """Many accumulation walks at once, swept column by column.
 
     Every lane is one ``(current vector, group count)`` candidate:
     lane ``k`` walks row ``row_of[k]`` of ``currents_rows`` building a
-    ``counts[k]``-group partition.  Each lane keeps its own
-    ``(position, cut, group sum, best error)`` state, and each
-    iteration either extends the open group by one module or closes it
-    and re-seeds — exactly the scalar walk's per-candidate operation
-    sequence, so each lane's IEEE arithmetic (and therefore every cut
-    index) is bit-identical to running
-    :func:`_greedy_accumulation_walk` on its row.  The Python loop
-    count collapses from O(sum over lanes of walk steps) to O(longest
-    single walk): lanes of *different* rows — e.g. every back-biased
-    case of a stacked grid — advance together.
+    ``counts[k]``-group partition.  Without the tail clamp, each walk
+    step probes the next module whether it extends the open group or
+    closes it (the next group re-seeds at the probed module), so step
+    ``m`` reads module ``m`` for every lane: one dense column step per
+    module, running the scalar walk's own add, subtract, abs and
+    compare in order, so every cut is bit-identical to
+    :func:`_greedy_accumulation_walk` on the lane's row.  A lane's
+    unclamped cuts are its first ``count`` closes (column 0 always
+    closes; a missing close reads as ``N``).  They strictly increase,
+    so once one reaches its bound ``N - count + j`` every later one
+    does too: the clamp is applied afterwards, and the sweep stops
+    once every lane has its cuts or only clamped ones left.
 
     Returns the dense ``(n_lanes, max(counts))`` cut matrix (column 0
     is the mandatory leading zero; columns at or beyond a lane's count
@@ -281,43 +273,51 @@ def _accumulation_walk_rows(
     """
     n_modules = currents_rows.shape[1]
     n_lanes = counts.size
-    flat = currents_rows.reshape(-1)
-    base = row_of * n_modules
-    cuts = np.zeros((n_lanes, int(counts.max())), dtype=np.int64)
     # Contiguous-row pairwise sums match each lane's float(row.sum()).
     ideals = currents_rows.sum(axis=1)[row_of] / counts
-    # Lane state: next start slot to fill, last cut (group origin), the
-    # probing cut, the open group's sum and its best error so far.
-    slot = np.ones(n_lanes, dtype=np.int64)
-    pos = np.zeros(n_lanes, dtype=np.int64)
-    cut = np.ones(n_lanes, dtype=np.int64)
-    group_sum = flat[base]
-    best_err = np.abs(group_sum - ideals)
-    active = slot < counts
-    while active.any():
-        live = np.flatnonzero(active)
-        max_cut = n_modules - (counts[live] - slot[live])
-        extendable = cut[live] < max_cut
-        probing = live[extendable]
-        extended = group_sum[probing] + flat[base[probing] + cut[probing]]
-        err = np.abs(extended - ideals[probing])
-        better = err <= best_err[probing]
-        grow = probing[better]
-        group_sum[grow] = extended[better]
-        best_err[grow] = err[better]
-        cut[grow] += 1
-        # A lane closes its group when the error rose (the walk's
-        # stop-at-first-increase) or the tail clamp binds.
-        close = np.concatenate((live[~extendable], probing[~better]))
-        if close.size:
-            cuts[close, slot[close]] = cut[close]
-            pos[close] = cut[close]
-            slot[close] += 1
-            active[close] = slot[close] < counts[close]
-            reseed = close[active[close]]
-            group_sum[reseed] = flat[base[reseed] + pos[reseed]]
-            cut[reseed] = pos[reseed] + 1
-            best_err[reseed] = np.abs(group_sum[reseed] - ideals[reseed])
+    # keep[m]: the lane's open group absorbed module m.
+    keep = np.empty((n_modules, n_lanes), dtype=bool)
+    probe = np.empty((2, n_lanes))
+    probe_sum, probe_err = probe
+    # (group sum, best error) of each lane's open group; a -inf best
+    # error makes column 0 close and seed the first group.
+    state = np.full((2, n_lanes), -np.inf)
+    n_kept = np.zeros(n_lanes, dtype=np.int64)
+    for lo in range(0, n_modules, _SWEEP_BLOCK):
+        hi = min(lo + _SWEEP_BLOCK, n_modules)
+        # Per-column re-seed state (c[m], |c[m] - ideal|), one block.
+        seeds = np.empty((hi - lo, 2, n_lanes))
+        seeds[:, 0] = currents_rows[:, lo:hi].T[:, row_of]
+        np.abs(seeds[:, 0] - ideals, out=seeds[:, 1])
+        for seed, kept in zip(seeds, keep[lo:hi]):
+            np.add(state[0], seed[0], out=probe_sum)
+            np.subtract(probe_sum, ideals, out=probe_err)
+            np.abs(probe_err, out=probe_err)
+            np.less_equal(probe_err, state[1], out=kept)
+            # The next state is the probe where it kept, else the seed.
+            np.copyto(seed, probe, where=kept)
+            state = seed
+        # Stop once no lane needs a further close: a lane missing at least
+        # as many cuts as modules remain gets them all from the clamp.
+        n_kept += np.count_nonzero(keep[lo:hi], axis=0)
+        missing = counts - (hi - n_kept)
+        if not np.any((missing > 0) & (missing < n_modules - hi)):
+            break
+    # Unclamped cuts: the modules where a lane closed, ranked per lane
+    # in column order (inverting in place keeps one O(N * lanes) mask).
+    closed = np.logical_not(keep[:hi], out=keep[:hi])
+    lane, column = np.nonzero(closed.T)
+    n_closed = hi - n_kept
+    rank = np.arange(lane.size) - (np.cumsum(n_closed) - n_closed)[lane]
+    wanted = rank < counts[lane]
+    n_cols = int(counts.max())
+    cuts = np.full((n_lanes, n_cols), n_modules, dtype=np.int64)
+    cuts[lane[wanted], rank[wanted]] = column[wanted]
+    np.minimum(
+        cuts,
+        (n_modules - counts)[:, None] + _index_arange(n_cols)[None, :],
+        out=cuts,
+    )
     return cuts
 
 
@@ -406,8 +406,8 @@ def partition_multi(
     candidate (pinned in the parity suite).  The cumulative-prefix
     shortcut requires the group sums to grow monotonically, i.e.
     non-negative MPP currents; windows containing back-biased modules
-    (negative EMF) fall back to the scalar walk per candidate, whose
-    first-local-minimum semantics are the reference.
+    (negative EMF) take the accumulation walk, whose first-local-minimum
+    semantics are the reference, swept for all candidates at once.
 
     Returns
     -------
@@ -435,8 +435,9 @@ def partition_multi(
         # Non-monotone cumulative current (back-biased modules): the
         # walk's stop-at-first-error-increase rule is the reference
         # behaviour and cannot be expressed as a prefix search — but
-        # all candidates' walks advance together in lockstep lanes.
-        cuts = _accumulation_walk_multi(currents, counts)
+        # one column sweep walks every candidate together.
+        rows = np.ascontiguousarray(currents)[None, :]
+        cuts = _accumulation_walk_rows(rows, np.zeros_like(counts), counts)
         return PartitionSet(
             cat=cuts[ragged_mask], offsets=offsets, n_modules=n_modules
         )
@@ -572,8 +573,8 @@ def partition_multi_stack(
     evaluates the same expression tree on the same doubles, merely
     batched over a leading case axis.  Cases containing back-biased
     modules (negative currents) take the accumulation-walk reference
-    path, like :func:`partition_multi` — but all such cases' lanes
-    advance through one row-aware lockstep walk together.
+    path through the same column sweep as :func:`partition_multi`, one
+    sweep for every candidate of every such case.
 
     The three array stages of the build — prefix construction, the
     next-cut map and the lifting iteration — execute through the
@@ -638,7 +639,7 @@ def partition_multi_stack(
 
     neg_sel = np.flatnonzero(~monotone_rows[case_of_cand])
     if neg_sel.size:
-        # Back-biased cases: one lockstep walk advances every affected
+        # Back-biased cases: one column sweep walks every affected
         # candidate of every such case together (the walk lanes are
         # row-aware, so no per-case Python here either).
         walk = _accumulation_walk_rows(

@@ -1,9 +1,11 @@
 """Tests for repro.core.config."""
 
+import numpy as np
 import pytest
 
 from repro.core.config import ArrayConfiguration
 from repro.errors import ConfigurationError
+from repro.teg.switches import count_junction_flips, count_switch_toggles
 
 
 class TestConstruction:
@@ -133,3 +135,20 @@ class TestComparisons:
         b = ArrayConfiguration(starts=(0,), n_modules=5)
         with pytest.raises(ConfigurationError):
             a.junction_flips_to(b)
+
+    def test_matches_switch_fabric_counts(self):
+        rng = np.random.default_rng(7)
+
+        def draw(n):
+            cuts = rng.choice(np.arange(1, n), int(rng.integers(0, n)), replace=False)
+            return ArrayConfiguration(starts=(0, *sorted(cuts.tolist())), n_modules=n)
+
+        for _ in range(200):
+            n = int(rng.integers(1, 40))
+            a, b = draw(n), draw(n)
+            assert a.junction_flips_to(b) == count_junction_flips(
+                a.starts, b.starts, n
+            )
+            assert a.switch_toggles_to(b) == count_switch_toggles(
+                a.starts, b.starts, n
+            )

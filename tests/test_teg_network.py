@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.teg import network
@@ -450,3 +452,125 @@ class TestSingleCandidateNoTile:
         p_ref, v_ref = network.array_mpp_rows(emf_rows, res, [0, 3, 6, 9])
         assert power[0].tobytes() == p_ref.tobytes()
         assert voltage[0].tobytes() == v_ref.tobytes()
+
+
+def _oracle_cuts(rows, row_of, counts):
+    """Each lane's cuts from the scalar accumulation walk on its row."""
+    lanes = []
+    for r, count in zip(row_of, counts):
+        starts = np.zeros(count, dtype=np.int64)
+        network._greedy_accumulation_walk(rows[r], int(count), starts)
+        lanes.append(starts)
+    return lanes
+
+
+def _assert_sweep_matches_oracle(rows, row_of, counts):
+    rows = np.ascontiguousarray(rows, dtype=float)
+    row_of = np.asarray(row_of, dtype=np.int64)
+    counts = np.asarray(counts, dtype=np.int64)
+    with np.errstate(invalid="ignore", over="ignore"):
+        cuts = network._accumulation_walk_rows(rows, row_of, counts)
+        expected = _oracle_cuts(rows, row_of, counts)
+    assert cuts.shape == (counts.size, counts.max())
+    for k, starts in enumerate(expected):
+        assert cuts[k, : counts[k]].tolist() == starts.tolist(), (
+            f"lane {k} (row {row_of[k]}, count {counts[k]})"
+        )
+
+
+class TestAccumulationWalkSweep:
+    """The column-swept accumulation walk, lane by lane against the
+    scalar walk it replaces (``_greedy_accumulation_walk``)."""
+
+    @staticmethod
+    def _every_count(rows):
+        n_rows, n = rows.shape
+        row_of = np.repeat(np.arange(n_rows), n)
+        counts = np.tile(np.arange(1, n + 1), n_rows)
+        return row_of, counts
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            # Integer currents: exact ties between extending and closing.
+            np.random.default_rng(0).integers(-3, 4, (4, 23)).astype(float),
+            # Uniform rows, one of them all-negative.
+            np.array([[-1.0] * 17, [0.5] * 16 + [-0.5], [2.0] * 17]),
+            # Zero runs between back-biased modules.
+            np.array(
+                [
+                    [0, 0, -1, 0, 0, 0, 2, 0, 0, -1, 0, 3, 0, 0],
+                    [-2, 0, 0, 0, 0, 1, 1, 0, 0, 0, 0, 0, -1, 0],
+                ],
+                dtype=float,
+            ),
+            # All-negative rows.
+            -np.random.default_rng(1).uniform(0.1, 3.0, (3, 19)),
+        ],
+        ids=["integer-ties", "uniform", "zero-runs", "all-negative"],
+    )
+    def test_every_count_matches_scalar_walk(self, rows):
+        _assert_sweep_matches_oracle(rows, *self._every_count(rows))
+
+    def test_non_finite_entries(self):
+        rng = np.random.default_rng(2)
+        rows = rng.uniform(-1.0, 3.0, (5, 15))
+        rows[0, 4] = np.nan
+        rows[1, 0] = np.inf
+        rows[2, 7] = -np.inf
+        rows[3, [2, 9]] = (np.inf, -np.inf)
+        rows[4, -1] = np.nan
+        _assert_sweep_matches_oracle(rows, *self._every_count(rows))
+
+    def test_magnitudes_from_1e_minus_8_to_1e8(self):
+        rng = np.random.default_rng(3)
+        magnitude = 10.0 ** rng.uniform(-8.0, 8.0, (4, 31))
+        rows = magnitude * rng.choice([-1.0, 1.0], size=magnitude.shape)
+        _assert_sweep_matches_oracle(rows, *self._every_count(rows))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 70, 130])
+    def test_clamp_binding_windows_and_extreme_counts(self, n):
+        # Counts near N force the tail clamp; 1 and N are the extremes.
+        # 70 and 130 modules span several sweep blocks, so the sweep's
+        # early stop decides where it ends.
+        rows = np.random.default_rng(n).uniform(-2.0, 1.0, (2, n))
+        counts = sorted({1, max(n - 3, 1), max(n - 2, 1), max(n - 1, 1), n})
+        row_of = np.repeat([0, 1], len(counts))
+        _assert_sweep_matches_oracle(rows, row_of, counts * 2)
+
+    def test_unsorted_repeated_rows_and_single_lane(self):
+        rng = np.random.default_rng(4)
+        rows = rng.uniform(-1.0, 2.0, (4, 26))
+        row_of = [3, 0, 3, 1, 1, 2, 0, 3]
+        counts = [5, 26, 1, 9, 9, 13, 2, 24]
+        _assert_sweep_matches_oracle(rows, row_of, counts)
+        _assert_sweep_matches_oracle(rows, [2], [7])
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_random_rows_lanes_and_counts(self, data):
+        n_rows = data.draw(st.integers(1, 4), label="rows")
+        n = data.draw(st.integers(1, 80), label="modules")
+        value = st.one_of(
+            st.floats(-5.0, 5.0),
+            st.integers(-3, 3).map(float),
+            st.sampled_from([0.0, np.inf, -np.inf, np.nan]),
+        )
+        rows = np.array(
+            data.draw(
+                st.lists(
+                    st.lists(value, min_size=n, max_size=n),
+                    min_size=n_rows,
+                    max_size=n_rows,
+                )
+            )
+        )
+        lanes = data.draw(
+            st.lists(
+                st.tuples(st.integers(0, n_rows - 1), st.integers(1, n)),
+                min_size=1,
+                max_size=12,
+            )
+        )
+        row_of, counts = zip(*lanes)
+        _assert_sweep_matches_oracle(rows, row_of, counts)
